@@ -84,7 +84,6 @@ struct Args {
     duration_secs: Option<u64>,
     connections: Option<usize>,
     serve_addr: Option<String>,
-    transport: loadgen::Transport,
     access_log: Option<String>,
     store_smoke: bool,
     store_path: String,
@@ -99,7 +98,7 @@ fn usage() -> ! {
          \x20      xlda-bench --obs-overhead [--smoke] [--workload NAME] [--trace PATH]\n\
          \x20      xlda-bench --flight-overhead [--smoke]\n\
          \x20      xlda-bench --loadgen [--smoke] [--duration-secs N] \
-         [--connections N] [--serve-addr ADDR] [--transport event|threaded] \
+         [--connections N] [--serve-addr ADDR] \
          [--access-log PATH] [--baseline PATH] [--out PATH]\n\
          \x20      xlda-bench --store-smoke [--smoke] [--store-path PATH] \
          [--verify COLD.json] [--out PATH]"
@@ -122,7 +121,6 @@ fn parse_args() -> Args {
         duration_secs: None,
         connections: None,
         serve_addr: None,
-        transport: loadgen::Transport::Event,
         access_log: None,
         store_smoke: false,
         store_path: "xlda_store.bin".to_string(),
@@ -168,10 +166,6 @@ fn parse_args() -> Args {
                 Some(a) => args.serve_addr = Some(a),
                 None => usage(),
             },
-            "--transport" => match it.next().as_deref().and_then(loadgen::Transport::parse) {
-                Some(t) => args.transport = t,
-                None => usage(),
-            },
             "--access-log" => match it.next() {
                 Some(p) => args.access_log = Some(p),
                 None => usage(),
@@ -201,7 +195,6 @@ fn run_loadgen(args: &Args) -> ExitCode {
         config.connections = n;
     }
     config.serve_addr = args.serve_addr.clone();
-    config.transport = args.transport;
     config.access_log = args.access_log.clone();
 
     let report = loadgen::run(&config);

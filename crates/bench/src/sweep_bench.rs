@@ -2,8 +2,8 @@
 //!
 //! Measures the v2 sweep engine (work-stealing dispatch + cross-point
 //! memoization, see `xlda_core::sweep`) against the v1 baseline path
-//! (static chunking, memoization globally disabled) on three fixed
-//! design-space-exploration workloads:
+//! (one contiguous chunk per worker, memoization globally disabled) on
+//! three fixed design-space-exploration workloads:
 //!
 //! - **hdc** — the Fig. 3H candidate set evaluated over a grid of
 //!   scenario shapes (feature dim × class count × HV length);
@@ -116,7 +116,7 @@ pub struct WorkloadResult {
     pub name: &'static str,
     /// Number of sweep points.
     pub points: usize,
-    /// v1 path: static chunking, memoization off.
+    /// v1 path: one contiguous chunk per worker, memoization off.
     pub baseline: RunStats,
     /// v2 path: work-stealing, memoization on.
     pub v2: RunStats,
@@ -498,7 +498,12 @@ where
     F: Fn(&I) -> u64 + Sync,
 {
     // Baseline first so its cold run cannot benefit from v2's caches.
-    let baseline = measure(inputs, &f, &SweepOptions::v1_static(), false, obs_on);
+    // One contiguous chunk per worker is the v1 static partitioning.
+    let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let v1 = SweepOptions::builder()
+        .chunk(inputs.len().div_ceil(workers))
+        .build();
+    let baseline = measure(inputs, &f, &v1, false, obs_on);
     let v2 = measure(inputs, &f, &SweepOptions::default(), true, obs_on);
     WorkloadResult {
         name,
@@ -688,9 +693,8 @@ fn push_run(out: &mut String, r: &RunStats) {
 
 /// Renders the results as the `BENCH_sweep.json` trajectory document.
 ///
-/// Hand-rolled emission: the vendored `serde` is an offline API shim
-/// without derive-based serialization, so the report writes (and the CI
-/// gate scans) this fixed schema directly.
+/// Hand-rolled emission: the workspace has no serialization crate, so
+/// the report writes (and the CI gate scans) this fixed schema directly.
 pub fn to_json(results: &[WorkloadResult], smoke: bool) -> String {
     to_json_with_store(results, &[], smoke)
 }

@@ -11,7 +11,7 @@
 //!   quantized by the same 44-bit policy the memo caches use
 //!   ([`memo::quantize`]). Two scenarios that would evaluate
 //!   identically share a digest; anything that can change a result
-//!   changes it. Schedule-only knobs (MC `batch`/`threads`) are
+//!   changes it. Scheduling-only knobs (MC `batch`/`threads`) are
 //!   deliberately excluded — results are bit-identical across them by
 //!   the trial-stream contract, so they must hit the same entry.
 //! - [`ResultStore`] — a sharded in-memory index over an append-only

@@ -5,11 +5,11 @@
 //! configurations). Version 2 of the engine adds three things over the
 //! original statically chunked fan-out:
 //!
-//! - **work-stealing dispatch** ([`Schedule::WorkStealing`]): workers
-//!   self-schedule small chunks off a shared atomic cursor, so a slow
-//!   region of the design space (e.g. large capacities that organize
-//!   slowly) cannot strand the other workers the way one oversized
-//!   static chunk can;
+//! - **work-stealing dispatch**: the calling thread and its scoped
+//!   helpers self-schedule small chunks off a shared atomic cursor, so a
+//!   slow region of the design space (e.g. large capacities that
+//!   organize slowly) cannot strand the other workers the way one
+//!   oversized static chunk can;
 //! - **cross-point memoization**: the layer crates share sub-evaluations
 //!   (decoder FOMs, driver sizing, matchline limits, RAM organizations,
 //!   crossbar macros) through the sharded caches in [`memo`]
@@ -20,10 +20,11 @@
 //!   `xlda_obs` spans (enable with [`xlda_obs::span::set_enabled`]), and
 //!   top-K slow-point capture with full span trees when tracing is on.
 //!
-//! Output order is always input order, independent of the schedule: the
-//! engine tracks chunk indices and reassembles results deterministically.
+//! Output order is always input order, independent of chunking and
+//! thread count: the engine tracks chunk indices and reassembles results
+//! deterministically.
 
-use std::hash::Hash;
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -32,18 +33,6 @@ pub use xlda_num::memo;
 pub use xlda_num::memo::{CacheSnapshot, ShardedCache};
 pub use xlda_obs::span::SpanAgg;
 pub use xlda_obs::trace::SpanEvent;
-
-/// How the engine hands sweep points to worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Schedule {
-    /// One contiguous pre-assigned chunk per worker (the v1 behavior):
-    /// lowest dispatch overhead, but load imbalance when evaluation cost
-    /// varies across the input range.
-    StaticChunks,
-    /// Workers pull fixed-size chunks off a shared atomic cursor until
-    /// the input is drained. Imbalance is bounded by one chunk.
-    WorkStealing,
-}
 
 /// Target number of work-unit steals per worker when `chunk == 0`: the
 /// auto chunk is sized as `points / (threads * TARGET_STEALS_PER_WORKER)`
@@ -93,52 +82,28 @@ pub enum Columnar {
 /// Sweep engine tuning knobs.
 ///
 /// Since 0.3.0 this is builder-only: construct via
-/// [`SweepOptions::builder`] (or [`SweepOptions::default`] /
-/// [`SweepOptions::v1_static`] for the stock shapes) and read through
-/// the getters — new tuning knobs are then additive rather than
+/// [`SweepOptions::builder`] (or [`SweepOptions::default`]) and read
+/// through the getters — new tuning knobs are then additive rather than
 /// breaking changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct SweepOptions {
-    pub(crate) schedule: Schedule,
     pub(crate) threads: usize,
     pub(crate) chunk: usize,
     pub(crate) deadline: Option<Duration>,
     pub(crate) columnar: Columnar,
 }
 
-impl Default for SweepOptions {
-    fn default() -> Self {
-        Self {
-            schedule: Schedule::WorkStealing,
-            threads: 0,
-            chunk: 0,
-            deadline: None,
-            columnar: Columnar::Off,
-        }
-    }
-}
-
 impl SweepOptions {
-    /// The v1-compatible configuration: static chunking, one chunk per
-    /// thread. Used by benchmarks as the pre-v2 baseline.
-    pub fn v1_static() -> Self {
-        Self {
-            schedule: Schedule::StaticChunks,
-            ..Self::default()
-        }
-    }
-
     /// Starts a builder over the default configuration.
     ///
     /// # Examples
     ///
     /// ```
     /// use std::time::Duration;
-    /// use xlda_core::sweep::{Schedule, SweepOptions};
+    /// use xlda_core::sweep::SweepOptions;
     ///
     /// let opts = SweepOptions::builder()
-    ///     .schedule(Schedule::WorkStealing)
     ///     .threads(4)
     ///     .chunk(16)
     ///     .deadline(Duration::from_millis(250))
@@ -152,12 +117,9 @@ impl SweepOptions {
         }
     }
 
-    /// Dispatch schedule (default: [`Schedule::WorkStealing`]).
-    pub fn schedule(&self) -> Schedule {
-        self.schedule
-    }
-
-    /// Worker threads; `0` means the machine's available parallelism.
+    /// Worker threads, the calling thread included; `0` means the
+    /// machine's available parallelism. A one-worker sweep runs entirely
+    /// on the calling thread.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -165,8 +127,8 @@ impl SweepOptions {
     /// Points per stolen work unit; `0` picks a chunk that gives each
     /// worker ~[`TARGET_STEALS_PER_WORKER`] steals (clamped to
     /// [`MIN_AUTO_CHUNK`]`..=`[`MAX_AUTO_CHUNK`]; columnar dispatch
-    /// sizes by [`COLUMNAR_TARGET_STEALS_PER_WORKER`] instead). Ignored
-    /// by [`Schedule::StaticChunks`].
+    /// sizes by [`COLUMNAR_TARGET_STEALS_PER_WORKER`] instead).
+    /// `points.div_ceil(threads)` gives one contiguous chunk per worker.
     pub fn chunk(&self) -> usize {
         self.chunk
     }
@@ -199,35 +161,19 @@ impl SweepOptions {
         t.clamp(1, points.max(1))
     }
 
-    fn resolve_chunk(&self, points: usize, threads: usize) -> usize {
-        match self.schedule {
-            Schedule::StaticChunks => points.div_ceil(threads).max(1),
-            Schedule::WorkStealing => {
-                if self.chunk > 0 {
-                    self.chunk
-                } else {
-                    (points / (threads * TARGET_STEALS_PER_WORKER))
-                        .clamp(MIN_AUTO_CHUNK, MAX_AUTO_CHUNK)
-                }
-            }
-        }
-    }
-
-    /// Chunk sizing for [`par_batch_map`]: larger chunks than the scalar
-    /// heuristic, because a batch kernel's hoisted solves amortize over
-    /// the whole chunk. An explicit `chunk` wins; static scheduling
-    /// keeps one thread-sized chunk per worker.
-    fn resolve_columnar_chunk(&self, points: usize, threads: usize) -> usize {
-        match self.schedule {
-            Schedule::StaticChunks => points.div_ceil(threads).max(1),
-            Schedule::WorkStealing => {
-                if self.chunk > 0 {
-                    self.chunk
-                } else {
-                    (points / (threads * COLUMNAR_TARGET_STEALS_PER_WORKER))
-                        .clamp(MIN_COLUMNAR_CHUNK, MAX_COLUMNAR_CHUNK)
-                }
-            }
+    /// Points per chunk: an explicit `chunk` wins; `0` aims at `steals`
+    /// chunks per worker, clamped to `clamp`.
+    fn resolve_chunk(
+        &self,
+        points: usize,
+        threads: usize,
+        steals: usize,
+        clamp: RangeInclusive<usize>,
+    ) -> usize {
+        if self.chunk > 0 {
+            self.chunk
+        } else {
+            (points / (threads * steals)).clamp(*clamp.start(), *clamp.end())
         }
     }
 }
@@ -239,12 +185,6 @@ pub struct SweepOptionsBuilder {
 }
 
 impl SweepOptionsBuilder {
-    /// Sets the dispatch schedule.
-    pub fn schedule(mut self, schedule: Schedule) -> Self {
-        self.opts.schedule = schedule;
-        self
-    }
-
     /// Sets the worker-thread count (`0` = available parallelism).
     pub fn threads(mut self, threads: usize) -> Self {
         self.opts.threads = threads;
@@ -275,51 +215,73 @@ impl SweepOptionsBuilder {
     }
 }
 
-/// Core dispatch: evaluates `f` over `inputs` under `opts`, preserving
-/// input order. Workers pull chunk indices from a shared cursor (under
-/// static chunking each chunk is thread-sized, so every worker takes at
-/// most one), tag results with their chunk index, and the caller
-/// reassembles in index order — output order never depends on thread
-/// interleaving.
+/// The one chunk loop behind every sweep entry point. The calling thread
+/// and `threads - 1` scoped helpers claim chunk indices off a shared
+/// cursor and run `run_chunk(base, slice)` on each; the caller then
+/// reassembles the per-chunk outputs in chunk order, so output order
+/// never depends on thread interleaving. A one-worker sweep spawns no
+/// thread, so its spans nest under the caller's open spans.
+fn run_chunks<I, B, F>(
+    inputs: &[I],
+    opts: &SweepOptions,
+    steals: usize,
+    clamp: RangeInclusive<usize>,
+    run_chunk: F,
+) -> Vec<B>
+where
+    I: Sync,
+    B: Send,
+    F: Fn(usize, &[I]) -> B + Sync,
+{
+    if inputs.is_empty() {
+        return Vec::new();
+    }
+    let threads = opts.resolve_threads(inputs.len());
+    let chunk = opts.resolve_chunk(inputs.len(), threads, steals, clamp);
+    let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let mut mine: Vec<(usize, B)> = Vec::new();
+        loop {
+            let c = cursor.fetch_add(1, Ordering::Relaxed);
+            let lo = c * chunk;
+            if lo >= inputs.len() {
+                break;
+            }
+            let hi = (lo + chunk).min(inputs.len());
+            mine.push((c, run_chunk(lo, &inputs[lo..hi])));
+        }
+        mine
+    };
+    let mut parts = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(claim)).collect();
+        let mut parts = claim();
+        for h in helpers {
+            parts.extend(h.join().expect("sweep worker panicked"));
+        }
+        parts
+    });
+    parts.sort_unstable_by_key(|&(c, _)| c);
+    parts.into_iter().map(|(_, b)| b).collect()
+}
+
+/// Per-point dispatch: [`run_chunks`] with the scalar chunk heuristic,
+/// flattened back to one output per input.
 fn dispatch<I, O, F>(inputs: &[I], f: F, opts: &SweepOptions) -> Vec<O>
 where
     I: Sync,
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    if inputs.is_empty() {
-        return Vec::new();
-    }
-    let threads = opts.resolve_threads(inputs.len());
-    let chunk = opts.resolve_chunk(inputs.len(), threads);
-    let cursor = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let f = &f;
-            let cursor = &cursor;
-            handles.push(scope.spawn(move |_| {
-                let mut mine: Vec<(usize, Vec<O>)> = Vec::new();
-                loop {
-                    let c = cursor.fetch_add(1, Ordering::Relaxed);
-                    let lo = c * chunk;
-                    if lo >= inputs.len() {
-                        break;
-                    }
-                    let hi = (lo + chunk).min(inputs.len());
-                    mine.push((c, inputs[lo..hi].iter().map(f).collect()));
-                }
-                mine
-            }));
-        }
-        let mut parts: Vec<(usize, Vec<O>)> = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("sweep worker panicked"))
-            .collect();
-        parts.sort_unstable_by_key(|&(c, _)| c);
-        parts.into_iter().flat_map(|(_, v)| v).collect()
-    })
-    .expect("sweep scope panicked")
+    run_chunks(
+        inputs,
+        opts,
+        TARGET_STEALS_PER_WORKER,
+        MIN_AUTO_CHUNK..=MAX_AUTO_CHUNK,
+        |_, slice| slice.iter().map(&f).collect::<Vec<O>>(),
+    )
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Evaluates `f` over `inputs` in parallel, preserving order.
@@ -502,39 +464,13 @@ where
     B: Send,
     FB: Fn(usize, &[I]) -> B + Sync,
 {
-    if inputs.is_empty() {
-        return Vec::new();
-    }
-    let threads = opts.resolve_threads(inputs.len());
-    let chunk = opts.resolve_columnar_chunk(inputs.len(), threads);
-    let cursor = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let run_chunk = &run_chunk;
-            let cursor = &cursor;
-            handles.push(scope.spawn(move |_| {
-                let mut mine: Vec<(usize, B)> = Vec::new();
-                loop {
-                    let c = cursor.fetch_add(1, Ordering::Relaxed);
-                    let lo = c * chunk;
-                    if lo >= inputs.len() {
-                        break;
-                    }
-                    let hi = (lo + chunk).min(inputs.len());
-                    mine.push((c, run_chunk(lo, &inputs[lo..hi])));
-                }
-                mine
-            }));
-        }
-        let mut parts: Vec<(usize, B)> = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("sweep worker panicked"))
-            .collect();
-        parts.sort_unstable_by_key(|&(c, _)| c);
-        parts.into_iter().map(|(_, b)| b).collect()
-    })
-    .expect("sweep scope panicked")
+    run_chunks(
+        inputs,
+        opts,
+        COLUMNAR_TARGET_STEALS_PER_WORKER,
+        MIN_COLUMNAR_CHUNK..=MAX_COLUMNAR_CHUNK,
+        run_chunk,
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -755,71 +691,6 @@ where
     (out, stats)
 }
 
-/// A thread-safe memoization cache for sweep evaluations.
-///
-/// Since v2 this is a thin wrapper over [`memo::ShardedCache`]: lookups
-/// shard across sixteen locks instead of serializing on one, and hits
-/// and misses are counted. Unlike the caches declared with
-/// [`xlda_num::memo_cache!`], a `Cache` is caller-owned and unregistered
-/// — it does not appear in [`memo::snapshot`] — but the global memo
-/// switch still governs it (a disabled switch bypasses it too, since
-/// transparency tests must silence *every* memo layer).
-///
-/// # Examples
-///
-/// ```
-/// use xlda_core::sweep::Cache;
-///
-/// let cache: Cache<u32, u64> = Cache::new();
-/// let v = cache.get_or_insert_with(7, || 7 * 7);
-/// assert_eq!(v, 49);
-/// assert_eq!(cache.len(), 1);
-/// ```
-#[derive(Debug)]
-pub struct Cache<K, V> {
-    inner: ShardedCache<K, V>,
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> Default for Cache<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self {
-            inner: ShardedCache::new(),
-        }
-    }
-
-    /// Returns the cached value for `key`, computing and storing it with
-    /// `compute` on a miss.
-    ///
-    /// `compute` may run more than once under contention; the first
-    /// stored value wins, keeping results deterministic for pure
-    /// evaluators.
-    pub fn get_or_insert_with<F: FnOnce() -> V>(&self, key: K, compute: F) -> V {
-        self.inner.get_or_insert_with(key, compute)
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Hit/miss counters accumulated by this cache.
-    pub fn stats(&self) -> &memo::CacheStats {
-        self.inner.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -848,26 +719,21 @@ mod tests {
         assert_eq!(out, vec![11, 21, 31]);
     }
 
+    /// One point per steal, the auto heuristic, and one contiguous
+    /// chunk per worker all return the sequential map.
     #[test]
-    fn schedules_agree_and_preserve_order() {
+    fn chunk_shapes_agree_and_preserve_order() {
         let inputs: Vec<u64> = (0..4097).collect();
         let expect: Vec<u64> = inputs.iter().map(|&x| x.wrapping_mul(x) ^ 7).collect();
-        for opts in [
-            SweepOptions::v1_static(),
-            SweepOptions::default(),
-            SweepOptions::builder()
-                .schedule(Schedule::WorkStealing)
-                .threads(3)
-                .chunk(5)
-                .build(),
-            SweepOptions::builder()
-                .schedule(Schedule::WorkStealing)
-                .threads(8)
-                .chunk(1)
-                .build(),
-        ] {
-            let out = par_map_with(&inputs, |&x| x.wrapping_mul(x) ^ 7, &opts);
-            assert_eq!(out, expect, "schedule {opts:?}");
+        for threads in 1..=4 {
+            for chunk in [1, 0, inputs.len().div_ceil(threads)] {
+                let opts = SweepOptions::builder()
+                    .threads(threads)
+                    .chunk(chunk)
+                    .build();
+                let out = par_map_with(&inputs, |&x| x.wrapping_mul(x) ^ 7, &opts);
+                assert_eq!(out, expect, "shape {opts:?}");
+            }
         }
     }
 
@@ -939,20 +805,26 @@ mod tests {
         assert_eq!(TARGET_STEALS_PER_WORKER, 8);
         assert_eq!(MIN_AUTO_CHUNK, 1);
         assert_eq!(MAX_AUTO_CHUNK, 256);
+        let scalar = |opts: &SweepOptions, points, threads| {
+            opts.resolve_chunk(
+                points,
+                threads,
+                TARGET_STEALS_PER_WORKER,
+                MIN_AUTO_CHUNK..=MAX_AUTO_CHUNK,
+            )
+        };
         let auto = SweepOptions::default();
         // Mid-range: exact ~8-steals sizing.
-        assert_eq!(auto.resolve_chunk(6400, 4), 6400 / (4 * 8));
-        assert_eq!(auto.resolve_chunk(1024, 8), 1024 / (8 * 8));
+        assert_eq!(scalar(&auto, 6400, 4), 6400 / (4 * 8));
+        assert_eq!(scalar(&auto, 1024, 8), 1024 / (8 * 8));
         // Tiny inputs clamp up to one point per steal, never zero.
-        assert_eq!(auto.resolve_chunk(1, 8), MIN_AUTO_CHUNK);
-        assert_eq!(auto.resolve_chunk(7, 1), MIN_AUTO_CHUNK);
+        assert_eq!(scalar(&auto, 1, 8), MIN_AUTO_CHUNK);
+        assert_eq!(scalar(&auto, 7, 1), MIN_AUTO_CHUNK);
         // Huge inputs clamp down so one steal never strands >256 points.
-        assert_eq!(auto.resolve_chunk(1_000_000, 2), MAX_AUTO_CHUNK);
-        // An explicit chunk bypasses the heuristic entirely...
+        assert_eq!(scalar(&auto, 1_000_000, 2), MAX_AUTO_CHUNK);
+        // An explicit chunk bypasses the heuristic entirely.
         let explicit = SweepOptions::builder().chunk(42).build();
-        assert_eq!(explicit.resolve_chunk(1_000_000, 2), 42);
-        // ...and static scheduling ignores it (one chunk per thread).
-        assert_eq!(SweepOptions::v1_static().resolve_chunk(100, 8), 13);
+        assert_eq!(scalar(&explicit, 1_000_000, 2), 42);
     }
 
     #[test]
@@ -997,7 +869,7 @@ mod tests {
 
     #[test]
     fn cache_hits_avoid_recompute() {
-        let cache: Cache<u32, u32> = Cache::new();
+        let cache: ShardedCache<u32, u32> = ShardedCache::new();
         let calls = AtomicUsize::new(0);
         for _ in 0..5 {
             let v = cache.get_or_insert_with(1, || {
@@ -1015,7 +887,7 @@ mod tests {
 
     #[test]
     fn cache_is_usable_from_par_map_workers() {
-        let cache: Cache<u64, u64> = Cache::new();
+        let cache: ShardedCache<u64, u64> = ShardedCache::new();
         let inputs: Vec<u64> = (0..256).map(|i| i % 8).collect();
         let out = par_map(&inputs, |&x| cache.get_or_insert_with(x, || x * 100));
         assert_eq!(cache.len(), 8);
@@ -1150,10 +1022,7 @@ mod tests {
                 .chunk(7)
                 .columnar(Columnar::Exact)
                 .build(),
-            SweepOptions::builder()
-                .schedule(Schedule::StaticChunks)
-                .threads(4)
-                .build(),
+            SweepOptions::builder().threads(4).chunk(250).build(),
         ] {
             let chunks = par_batch_map(&inputs, &opts, |base, slice| {
                 (base, slice.iter().map(|&x| x * 2).collect::<Vec<_>>())
@@ -1177,15 +1046,27 @@ mod tests {
 
     #[test]
     fn columnar_chunks_are_larger_than_scalar() {
+        let columnar = |opts: &SweepOptions, points| {
+            opts.resolve_chunk(
+                points,
+                4,
+                COLUMNAR_TARGET_STEALS_PER_WORKER,
+                MIN_COLUMNAR_CHUNK..=MAX_COLUMNAR_CHUNK,
+            )
+        };
         let opts = SweepOptions::default();
-        let scalar = opts.resolve_chunk(10_000, 4);
-        let columnar = opts.resolve_columnar_chunk(10_000, 4);
-        assert!(columnar > scalar, "{columnar} <= {scalar}");
+        let scalar = opts.resolve_chunk(
+            10_000,
+            4,
+            TARGET_STEALS_PER_WORKER,
+            MIN_AUTO_CHUNK..=MAX_AUTO_CHUNK,
+        );
+        assert!(columnar(&opts, 10_000) > scalar);
         // Explicit chunk wins in both modes.
         let fixed = SweepOptions::builder().chunk(13).build();
-        assert_eq!(fixed.resolve_columnar_chunk(10_000, 4), 13);
+        assert_eq!(columnar(&fixed, 10_000), 13);
         // Tiny sweeps clamp to the columnar minimum.
-        assert_eq!(opts.resolve_columnar_chunk(3, 4), MIN_COLUMNAR_CHUNK);
+        assert_eq!(columnar(&opts, 3), MIN_COLUMNAR_CHUNK);
     }
 
     #[test]

@@ -2,15 +2,17 @@
 //!
 //! The MC engine's core contract is that results are a pure function of
 //! `(seed, trial_index)` — bit-identical for any batch size, worker
-//! count, or schedule arm. These tests pin that contract across all
-//! three scenario kinds and both sweep schedules, including a full
+//! count, or sweep chunk shape. These tests pin that contract across all
+//! three scenario kinds and every chunk shape, including a full
 //! `evaluate()` equality check (summaries, yields, checksums, and the
 //! quantile-derived candidates all match, not just the raw columns).
 
 use proptest::prelude::*;
 use xlda_core::evaluate::Scenario;
-use xlda_core::mc::{CamYieldMcScenario, MannAccuracyMcScenario, McParams, NvmLifetimeMcScenario};
-use xlda_core::sweep::{Schedule, SweepOptions};
+use xlda_core::mc::{
+    CamYieldMcScenario, MannAccuracyMcScenario, McParams, NvmLifetimeMcScenario, DEFAULT_BATCH,
+};
+use xlda_core::sweep::SweepOptions;
 use xlda_num::trial::checksum;
 
 /// A deliberately awkward population size: not a multiple of any batch
@@ -26,27 +28,27 @@ fn mc(seed: u64, batch: usize) -> McParams {
     }
 }
 
-fn arms() -> Vec<SweepOptions> {
+/// Sweep arms over `batches` trial batches: one batch per steal, the
+/// auto chunk, an odd chunk, and one contiguous chunk per worker, each
+/// on one to four workers.
+fn arms(batches: usize) -> Vec<SweepOptions> {
     let mut out = Vec::new();
-    for schedule in [Schedule::StaticChunks, Schedule::WorkStealing] {
-        for threads in [1usize, 2, 4] {
-            for chunk in [0usize, 1, 7] {
-                out.push(
-                    SweepOptions::builder()
-                        .schedule(schedule)
-                        .threads(threads)
-                        .chunk(chunk)
-                        .build(),
-                );
-            }
+    for threads in 1usize..=4 {
+        for chunk in [1, 0, 7, batches.div_ceil(threads)] {
+            out.push(
+                SweepOptions::builder()
+                    .threads(threads)
+                    .chunk(chunk)
+                    .build(),
+            );
         }
     }
     out
 }
 
-/// Runs `outcomes_with` for every (schedule, threads, sweep-chunk,
-/// batch) arm and asserts the columns are bit-identical to the
-/// single-threaded default-batch reference.
+/// Runs `outcomes_with` for every (threads, sweep-chunk, batch) arm and
+/// asserts the columns are bit-identical to the single-threaded
+/// default-batch reference.
 fn assert_invariant<S, F>(seed: u64, build: F)
 where
     S: Scenario,
@@ -59,7 +61,8 @@ where
     let ref_sums: Vec<u64> = reference.iter().map(|c| checksum(c)).collect();
     for batch in [1usize, 16, 100, TRIALS, 0] {
         let s = build(mc(seed, batch));
-        for opts in arms() {
+        let batches = TRIALS.div_ceil(if batch == 0 { DEFAULT_BATCH } else { batch });
+        for opts in arms(batches) {
             let got = s.outcomes(&opts).expect("arm run");
             let got_sums: Vec<u64> = got.iter().map(|c| checksum(c)).collect();
             assert_eq!(

@@ -37,7 +37,7 @@ pub mod rram;
 pub mod sram;
 
 /// Technology family of a memory device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// Ferroelectric field-effect transistor.
     Fefet,

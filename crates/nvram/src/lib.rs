@@ -45,7 +45,7 @@ memo_cache!(
 );
 
 /// Storage-cell style for a RAM array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RamCell {
     /// 6T SRAM.
     Sram6T,
@@ -194,7 +194,7 @@ pub struct RamArray {
 }
 
 /// RAM figures of merit.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RamReport {
     /// Random read latency (s).
     pub read_latency_s: f64,
@@ -265,7 +265,22 @@ impl RamArray {
     }
 
     fn auto_organize_uncached(config: &RamConfig, target: OptTarget) -> Result<Self, RamError> {
-        let mut best: Option<(f64, RamArray)> = None;
+        Self::search_geometry(config, target, Self::report).map(|(ram, _)| ram)
+    }
+
+    /// The 36-geometry search behind both [`RamArray::auto_organize`]
+    /// and [`RamBatchSolver::auto_organize_report`]: subarray sides are
+    /// powers of two in 128..=4096, a geometry holding more than 4x the
+    /// capacity is skipped, the first geometry with the strictly lowest
+    /// `target` score wins, and 128x128 is the fallback when every
+    /// geometry is skipped. `report` scores one candidate; it is the
+    /// only thing the two callers do differently.
+    fn search_geometry(
+        config: &RamConfig,
+        target: OptTarget,
+        mut report: impl FnMut(&RamArray) -> RamReport,
+    ) -> Result<(RamArray, RamReport), RamError> {
+        let mut best: Option<(f64, RamArray, RamReport)> = None;
         for shift_r in 7..=12 {
             for shift_c in 7..=12 {
                 let rows = 1usize << shift_r;
@@ -274,21 +289,25 @@ impl RamArray {
                     continue;
                 }
                 let ram = Self::with_subarray(config, rows, cols)?;
-                let rep = ram.report();
+                let rep = report(&ram);
                 let score = match target {
                     OptTarget::ReadLatency => rep.read_latency_s,
                     OptTarget::ReadEnergy => rep.read_energy_j,
                     OptTarget::Area => rep.area_mm2,
                     OptTarget::ReadEdp => rep.read_latency_s * rep.read_energy_j,
                 };
-                if best.as_ref().is_none_or(|(s, _)| score < *s) {
-                    best = Some((score, ram));
+                if best.as_ref().is_none_or(|(s, ..)| score < *s) {
+                    best = Some((score, ram, rep));
                 }
             }
         }
         match best {
-            Some((_, ram)) => Ok(ram),
-            None => Self::with_subarray(config, 128, 128),
+            Some((_, ram, rep)) => Ok((ram, rep)),
+            None => {
+                let ram = Self::with_subarray(config, 128, 128)?;
+                let rep = report(&ram);
+                Ok((ram, rep))
+            }
         }
     }
 
@@ -483,34 +502,7 @@ impl RamBatchSolver {
         target: OptTarget,
     ) -> Result<RamReport, RamError> {
         let _span = xlda_obs::span!("nvram.auto_organize");
-        let mut best: Option<(f64, RamReport)> = None;
-        for shift_r in 7..=12 {
-            for shift_c in 7..=12 {
-                let rows = 1usize << shift_r;
-                let cols = 1usize << shift_c;
-                if (rows * cols) as u64 > config.capacity_bits.max(1) * 4 {
-                    continue;
-                }
-                let ram = RamArray::with_subarray(config, rows, cols)?;
-                let rep = self.report_for(&ram);
-                let score = match target {
-                    OptTarget::ReadLatency => rep.read_latency_s,
-                    OptTarget::ReadEnergy => rep.read_energy_j,
-                    OptTarget::Area => rep.area_mm2,
-                    OptTarget::ReadEdp => rep.read_latency_s * rep.read_energy_j,
-                };
-                if best.as_ref().is_none_or(|(s, _)| score < *s) {
-                    best = Some((score, rep));
-                }
-            }
-        }
-        match best {
-            Some((_, rep)) => Ok(rep),
-            None => {
-                let ram = RamArray::with_subarray(config, 128, 128)?;
-                Ok(self.report_for(&ram))
-            }
-        }
+        RamArray::search_geometry(config, target, |ram| self.report_for(ram)).map(|(_, rep)| rep)
     }
 }
 

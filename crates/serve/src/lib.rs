@@ -11,8 +11,8 @@
 //!
 //! Layout:
 //!
-//! - [`json`] — hand-rolled JSON (the vendored `serde` is a no-op
-//!   shim), with bit-exact `f64` round-tripping;
+//! - [`json`] — hand-rolled JSON (the workspace has no serialization
+//!   crate), with bit-exact `f64` round-tripping;
 //! - [`protocol`] — request parsing and response formatting;
 //! - [`server`] — queue → adaptive batcher → pool → drain pipeline and
 //!   the transports;

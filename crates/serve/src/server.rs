@@ -35,8 +35,8 @@
 //!   no accepted request is silently dropped.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, Write};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -277,7 +277,7 @@ pub(crate) struct Shared {
     /// Wide-event NDJSON access log, when one is configured.
     access_log: Option<AccessLog>,
     /// Installed by the event loop so `shutdown()` and workers can wake
-    /// it; `None` under stdio/threaded transports.
+    /// it; `None` under the stdio transport.
     #[cfg(unix)]
     waker: Mutex<Option<crate::conn::Waker>>,
 }
@@ -425,16 +425,7 @@ impl Server {
         #[cfg(unix)]
         let result = crate::event_loop::run(&self.shared, listener);
         #[cfg(not(unix))]
-        let result = run_tcp_threaded_inner(&self.shared, listener);
-        self.join();
-        result
-    }
-
-    /// Runs the legacy thread-per-connection TCP transport. Kept as the
-    /// A/B baseline for the event loop (responses must be bit-exact
-    /// across both) and as the non-unix fallback.
-    pub fn run_tcp_threaded(mut self, listener: TcpListener) -> std::io::Result<()> {
-        let result = run_tcp_threaded_inner(&self.shared, listener);
+        let result = accept_loop(&self.shared, listener);
         self.join();
         result
     }
@@ -469,7 +460,9 @@ pub(crate) fn accept_retryable(e: &std::io::Error) -> bool {
     ) || matches!(e.raw_os_error(), Some(23) | Some(24) | Some(12))
 }
 
-fn run_tcp_threaded_inner(shared: &Arc<Shared>, listener: TcpListener) -> std::io::Result<()> {
+/// The non-unix TCP transport: one thread per connection.
+#[cfg(not(unix))]
+fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
     while !shared.draining.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -496,7 +489,8 @@ fn run_tcp_threaded_inner(shared: &Arc<Shared>, listener: TcpListener) -> std::i
     Ok(())
 }
 
-fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
+#[cfg(not(unix))]
+fn connection_loop(shared: &Arc<Shared>, stream: std::net::TcpStream) {
     // Line-at-a-time request/response traffic is exactly the pattern
     // Nagle + delayed ACK turns into ~40 ms stalls; disable batching.
     let _ = stream.set_nodelay(true);
@@ -504,7 +498,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
         return;
     };
     let sink: Arc<dyn ResponseSink> = Arc::new(SharedWriter::new(Box::new(write_half)));
-    let reader = BufReader::new(stream);
+    let reader = std::io::BufReader::new(stream);
     for line in reader.lines() {
         let Ok(line) = line else { break };
         if line.trim().is_empty() {

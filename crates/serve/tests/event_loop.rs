@@ -1,30 +1,26 @@
 //! Adversarial clients against the readiness-driven TCP transport:
 //! slow writers, split and pipelined frames, oversized and malformed
 //! frames, deadline expiry behind a stalled batch, abrupt disconnects,
-//! and an event-vs-threaded transport A/B parity check.
+//! and a parity check against the in-process line handler.
 #![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use xlda_serve::json::Json;
-use xlda_serve::{Server, ServerConfig};
+use xlda_serve::{Server, ServerConfig, SharedWriter};
 
-/// Binds a throwaway port and runs the given transport on its own
-/// thread; the server exits when a client sends `shutdown`.
-fn spawn(config: ServerConfig, threaded: bool) -> (SocketAddr, JoinHandle<()>) {
+/// Binds a throwaway port and runs the TCP transport on its own thread;
+/// the server exits when a client sends `shutdown`.
+fn spawn(config: ServerConfig) -> (SocketAddr, JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap();
     let server = Server::new(config);
     let handle = std::thread::spawn(move || {
-        let r = if threaded {
-            server.run_tcp_threaded(listener)
-        } else {
-            server.run_tcp(listener)
-        };
-        r.expect("transport exits cleanly");
+        server.run_tcp(listener).expect("transport exits cleanly");
     });
     // The listener is bound before spawn, so clients can connect
     // immediately; the kernel queues them until the loop accepts.
@@ -60,7 +56,7 @@ fn shutdown(addr: SocketAddr, handle: JoinHandle<()>) {
 
 #[test]
 fn byte_at_a_time_client_is_served() {
-    let (addr, handle) = spawn(ServerConfig::default(), false);
+    let (addr, handle) = spawn(ServerConfig::default());
     let mut c = connect(addr);
     let mut reader = BufReader::new(c.try_clone().unwrap());
     // Trickle the frame in one byte per write: the loop must
@@ -83,7 +79,7 @@ fn byte_at_a_time_client_is_served() {
 
 #[test]
 fn pipelined_and_split_frames_all_answered() {
-    let (addr, handle) = spawn(ServerConfig::default(), false);
+    let (addr, handle) = spawn(ServerConfig::default());
     let mut c = connect(addr);
     let mut reader = BufReader::new(c.try_clone().unwrap());
     // Three whole frames in one segment, then one frame split midway
@@ -112,13 +108,10 @@ fn pipelined_and_split_frames_all_answered() {
 
 #[test]
 fn oversized_frame_rejected_and_connection_closed() {
-    let (addr, handle) = spawn(
-        ServerConfig {
-            max_frame: 256,
-            ..ServerConfig::default()
-        },
-        false,
-    );
+    let (addr, handle) = spawn(ServerConfig {
+        max_frame: 256,
+        ..ServerConfig::default()
+    });
     let mut c = connect(addr);
     let mut reader = BufReader::new(c.try_clone().unwrap());
     // 4 KiB with no newline: the framing cursor can never resync, so
@@ -141,7 +134,7 @@ fn oversized_frame_rejected_and_connection_closed() {
 
 #[test]
 fn malformed_frame_fails_alone_connection_stays_usable() {
-    let (addr, handle) = spawn(ServerConfig::default(), false);
+    let (addr, handle) = spawn(ServerConfig::default());
     let mut c = connect(addr);
     let mut reader = BufReader::new(c.try_clone().unwrap());
     // Invalid UTF-8, then garbage JSON, then a valid request — the
@@ -169,14 +162,11 @@ fn deadline_expires_behind_a_stalled_batch() {
     // One worker with a 150 ms pre-drain stall (the saturation knob):
     // both requests sit queued long enough for the zero-deadline one
     // to expire, while its neighbour completes normally.
-    let (addr, handle) = spawn(
-        ServerConfig {
-            threads: 1,
-            batch_window: Duration::from_millis(150),
-            ..ServerConfig::default()
-        },
-        false,
-    );
+    let (addr, handle) = spawn(ServerConfig {
+        threads: 1,
+        batch_window: Duration::from_millis(150),
+        ..ServerConfig::default()
+    });
     let mut c = connect(addr);
     let mut reader = BufReader::new(c.try_clone().unwrap());
     c.write_all(b"{\"id\":\"patient\",\"kind\":\"hdc\"}\n{\"id\":\"expired\",\"kind\":\"hdc\",\"deadline_ms\":0}\n")
@@ -200,7 +190,7 @@ fn deadline_expires_behind_a_stalled_batch() {
 
 #[test]
 fn abrupt_disconnect_releases_the_connection_slot() {
-    let (addr, handle) = spawn(ServerConfig::default(), false);
+    let (addr, handle) = spawn(ServerConfig::default());
     // A client that submits work and vanishes without reading: the
     // response must be discarded and the slot reclaimed, not leaked.
     for _ in 0..3 {
@@ -232,9 +222,38 @@ fn abrupt_disconnect_releases_the_connection_slot() {
     shutdown(addr, handle);
 }
 
+/// An in-memory response sink for the in-process reference path.
+#[derive(Clone, Default)]
+struct Buffer(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Buffer {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+fn by_id<'a>(lines: impl Iterator<Item = &'a str>) -> std::collections::BTreeMap<String, String> {
+    lines
+        .map(|line| {
+            let id = Json::parse(line)
+                .unwrap()
+                .get("id")
+                .and_then(Json::as_str)
+                .unwrap()
+                .to_string();
+            (id, line.to_string())
+        })
+        .collect()
+}
+
 #[test]
-fn event_and_threaded_transports_answer_bit_exactly_alike() {
-    let requests: Vec<String> = [
+fn event_loop_answers_bit_exactly_like_the_line_handler() {
+    let requests = [
         r#"{"id":"r0","kind":"hdc"}"#,
         r#"{"id":"r1","kind":"mann"}"#,
         r#"{"id":"r2","kind":"edge"}"#,
@@ -242,41 +261,40 @@ fn event_and_threaded_transports_answer_bit_exactly_alike() {
         r#"{"id":"r4","kind":"hdc","scenario":{"dimension":4096}}"#,
         r#"{"id":"r5","kind":"triage","objective":{"top_k":3}}"#,
         r#"{"id":"r6","kind":"nope"}"#,
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    ];
 
-    let collect = |threaded: bool| -> std::collections::BTreeMap<String, String> {
-        let (addr, handle) = spawn(ServerConfig::default(), threaded);
-        let mut c = connect(addr);
-        let mut reader = BufReader::new(c.try_clone().unwrap());
+    let (addr, handle) = spawn(ServerConfig::default());
+    let mut c = connect(addr);
+    let mut reader = BufReader::new(c.try_clone().unwrap());
+    for r in &requests {
+        c.write_all(r.as_bytes()).unwrap();
+        c.write_all(b"\n").unwrap();
+    }
+    c.flush().unwrap();
+    let mut lines = Vec::new();
+    for _ in 0..requests.len() {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        lines.push(line.trim_end().to_string());
+    }
+    drop((c, reader));
+    shutdown(addr, handle);
+    let event = by_id(lines.iter().map(String::as_str));
+
+    // Dropping the server drains every admitted job into the buffer.
+    let buffer = Buffer::default();
+    {
+        let server = Server::new(ServerConfig::default());
+        let writer = SharedWriter::new(Box::new(buffer.clone()));
         for r in &requests {
-            c.write_all(r.as_bytes()).unwrap();
-            c.write_all(b"\n").unwrap();
+            server.handle_line(r, &writer);
         }
-        c.flush().unwrap();
-        let mut by_id = std::collections::BTreeMap::new();
-        for _ in 0..requests.len() {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            let id = Json::parse(line.trim_end())
-                .unwrap()
-                .get("id")
-                .and_then(Json::as_str)
-                .unwrap()
-                .to_string();
-            by_id.insert(id, line.trim_end().to_string());
-        }
-        drop((c, reader));
-        shutdown(addr, handle);
-        by_id
-    };
+    }
+    let handled = String::from_utf8(buffer.0.lock().unwrap().clone()).unwrap();
+    let handled = by_id(handled.lines());
 
-    let event = collect(false);
-    let threaded = collect(true);
     assert_eq!(event.len(), requests.len());
     // Byte-for-byte identical responses (bit-exact floats included):
-    // the transports may differ in scheduling, never in answers.
-    assert_eq!(event, threaded);
+    // the transport may change scheduling, never answers.
+    assert_eq!(event, handled);
 }

@@ -91,7 +91,7 @@ impl<T> EventQueue<T> {
         self.now
     }
 
-    /// Schedules `payload` at absolute time `t`.
+    /// Enqueues `payload` at absolute time `t`.
     ///
     /// # Panics
     ///
@@ -106,7 +106,7 @@ impl<T> EventQueue<T> {
         self.seq += 1;
     }
 
-    /// Schedules `payload` after `delay_s` seconds of simulated time.
+    /// Enqueues `payload` after `delay_s` seconds of simulated time.
     pub fn schedule_in(&mut self, delay_s: f64, payload: T) {
         self.schedule_at(self.now.advance(delay_s), payload);
     }
