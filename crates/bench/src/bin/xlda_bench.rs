@@ -410,7 +410,7 @@ fn main() -> ExitCode {
 
     // The store arms' invariants (bit-exact replay, hit rate 1.0) hold
     // regardless of a baseline; speedup floors need the baseline file.
-    failures.extend(store_bench::check_store_baseline(&store_arms, ""));
+    failures.extend(store_bench::check_store_baseline(&store_arms, "{}"));
 
     if let Some(path) = &args.baseline {
         match std::fs::read_to_string(path) {

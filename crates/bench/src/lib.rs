@@ -47,6 +47,15 @@ pub mod sweep_bench;
 
 use xlda_datagen::ClassificationSpec;
 
+/// Serializes this crate's tests that toggle the process-global memo or
+/// span switches, clear the memo caches, or run the in-process server:
+/// any of them running beside another changes what the other measures.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// The "hard" ISOLET-like dataset used by the Fig. 3 accuracy sweeps.
 ///
 /// The stock preset is nearly saturating; raising the intra-class noise

@@ -818,6 +818,7 @@ mod tests {
 
     #[test]
     fn quick_loadgen_round_trip() {
+        let _guard = crate::test_lock();
         // A very short in-process run: parity must hold and the warm
         // phase must see cache hits.
         let config = LoadgenConfig {

@@ -24,13 +24,14 @@ use std::path::Path;
 use std::time::Instant;
 
 use crate::sweep_bench::{
-    grid_hdc, grid_mann, grid_mc, push_json_f64, scan_after, scan_field, Workload, FNV_OFFSET,
-    FNV_PRIME,
+    grid_hdc, grid_mann, grid_mc, parse_gate_input, push_json_f64, workload_entry, Workload,
+    FNV_OFFSET, FNV_PRIME,
 };
 use xlda_core::evaluate::{Evaluation, Scenario};
 use xlda_core::store::{LoadReport, ResultStore};
 use xlda_core::sweep::memo;
 use xlda_core::triage::{rank, Objective};
+use xlda_serve::json::Json;
 
 /// Measurements of one regime (cold or restart-warm) over one workload.
 #[derive(Debug, Clone)]
@@ -266,6 +267,12 @@ pub(crate) fn push_store_arm(out: &mut String, a: &StoreArmResult) {
 /// baseline (a ratio, so no machine tolerance applies).
 pub fn check_store_baseline(arms: &[StoreArmResult], baseline_json: &str) -> Vec<String> {
     let mut failures = Vec::new();
+    let baseline = parse_gate_input(baseline_json, "baseline", &mut failures);
+    let min_hit_rate = baseline
+        .get("store")
+        .and_then(|s| s.get("min_warm_hit_rate"))
+        .and_then(Json::as_f64)
+        .unwrap_or(1.0);
     for a in arms {
         if !a.checksum_match() {
             failures.push(format!(
@@ -273,8 +280,6 @@ pub fn check_store_baseline(arms: &[StoreArmResult], baseline_json: &str) -> Vec
                 a.name, a.cold.checksum, a.warm.checksum
             ));
         }
-        let min_hit_rate =
-            scan_after(baseline_json, "\"store\":", "min_warm_hit_rate").unwrap_or(1.0);
         if a.warm_hit_rate() < min_hit_rate {
             failures.push(format!(
                 "store/{}: warm hit rate {:.4} below {:.4} ({} misses after restart)",
@@ -284,7 +289,10 @@ pub fn check_store_baseline(arms: &[StoreArmResult], baseline_json: &str) -> Vec
                 a.warm.misses
             ));
         }
-        if let Some(floor) = scan_field(baseline_json, a.name, "store_min_warm_speedup") {
+        if let Some(floor) = workload_entry(&baseline, "name", a.name)
+            .and_then(|e| e.get("store_min_warm_speedup"))
+            .and_then(Json::as_f64)
+        {
             if a.warm_speedup() < floor {
                 failures.push(format!(
                     "store/{}: restart-warm speedup {:.2}x below required {:.2}x",
@@ -440,22 +448,12 @@ pub fn smoke_to_json(r: &StoreSmokeReport, path: &Path) -> String {
     out
 }
 
-/// Scans one workload's checksum string out of a `--store-smoke` report.
-fn scan_checksum(json: &str, name: &str) -> Option<String> {
-    let anchor = format!("\"store_workload\":\"{name}\"");
-    let start = json.find(&anchor)? + anchor.len();
-    let rest = &json[start..];
-    let key = "\"checksum\":\"";
-    let at = rest.find(key)? + key.len();
-    let tail = &rest[at..];
-    Some(tail[..tail.find('"')?].to_string())
-}
-
 /// Gates a warm `--store-smoke` pass against the cold pass's report
 /// (from the previous process): result-level hit rate must be exactly
 /// 1.0 and every workload checksum must match bit-for-bit.
 pub fn verify_store_smoke(warm: &StoreSmokeReport, cold_json: &str) -> Vec<String> {
     let mut failures = Vec::new();
+    let cold_doc = parse_gate_input(cold_json, "cold report", &mut failures);
     if warm.hit_rate() < 1.0 {
         failures.push(format!(
             "store-smoke: warm hit rate {:.4} != 1.0 — the persisted store did not \
@@ -464,7 +462,8 @@ pub fn verify_store_smoke(warm: &StoreSmokeReport, cold_json: &str) -> Vec<Strin
         ));
     }
     for w in &warm.workloads {
-        match scan_checksum(cold_json, w.name) {
+        let cold = workload_entry(&cold_doc, "store_workload", w.name);
+        match cold.and_then(|c| c.get("checksum")).and_then(Json::as_str) {
             Some(cold) => {
                 let ours = format!("{:016x}", w.checksum);
                 if ours != cold {
@@ -506,10 +505,6 @@ pub fn print_store_smoke(r: &StoreSmokeReport) {
 mod tests {
     use super::*;
 
-    /// Store-arm measurements clear the process-global memo caches;
-    /// serialize with the sweep-bench tests that toggle the same state.
-    static MEMO_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     fn tmp(tag: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!(
@@ -523,7 +518,7 @@ mod tests {
 
     #[test]
     fn store_arm_warm_pass_is_all_hits_and_bit_exact() {
-        let _guard = MEMO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = crate::test_lock();
         let path = tmp("arm");
         let a = run_store_arm(Workload::Hdc, true, &path);
         assert_eq!(a.points, 8);
@@ -536,21 +531,35 @@ mod tests {
 
     #[test]
     fn store_arm_json_and_gate_round_trip() {
-        let _guard = MEMO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = crate::test_lock();
         let path = tmp("gate");
         let a = run_store_arm(Workload::Triage, true, &path);
         let json = crate::sweep_bench::to_json_with_store(&[], std::slice::from_ref(&a), true);
-        let speedup = scan_after(&json, "\"store_workload\":\"triage\"", "warm_speedup")
+        let doc = Json::parse(json.trim()).expect("report is valid JSON");
+        let arm = &doc
+            .get("store_arms")
+            .and_then(Json::as_arr)
+            .expect("store arms")[0];
+        assert_eq!(
+            arm.get("store_workload").and_then(Json::as_str),
+            Some("triage")
+        );
+        let speedup = arm
+            .get("warm_speedup")
+            .and_then(Json::as_f64)
             .expect("warm_speedup in report");
         assert!((speedup - a.warm_speedup()).abs() < 1e-3);
-        assert!(json.contains("\"checksum_match\":true"), "{json}");
+        assert_eq!(
+            arm.get("checksum_match").and_then(Json::as_bool),
+            Some(true)
+        );
         // A satisfiable baseline passes; an impossible floor fails.
-        let ok = "{\"name\":\"triage\",\"store_min_warm_speedup\":0.001},\"store\":{\"min_warm_hit_rate\":1.0}";
+        let ok = r#"{"workloads":[{"name":"triage","store_min_warm_speedup":0.001}],"store":{"min_warm_hit_rate":1.0}}"#;
         assert_eq!(
             check_store_baseline(std::slice::from_ref(&a), ok),
             Vec::<String>::new()
         );
-        let bad = "{\"name\":\"triage\",\"store_min_warm_speedup\":1e9}";
+        let bad = r#"{"workloads":[{"name":"triage","store_min_warm_speedup":1e9}]}"#;
         let failures = check_store_baseline(std::slice::from_ref(&a), bad);
         assert!(
             failures.iter().any(|f| f.contains("speedup")),
@@ -561,7 +570,7 @@ mod tests {
 
     #[test]
     fn store_smoke_warm_process_verifies_against_cold_report() {
-        let _guard = MEMO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = crate::test_lock();
         let path = tmp("smoke");
         let cold = run_store_smoke(true, &path, true);
         assert_eq!(cold.mode, "cold");

@@ -25,21 +25,25 @@
 //!
 //! The **hdc** and **mann** workloads additionally carry a cold-path
 //! arm pair (`cold_scalar` / `cold_columnar`): both run with
-//! memoization disabled, comparing the per-point scalar engine against
-//! the columnar SoA batch kernels
-//! ([`xlda_core::evaluate::sweep_scenarios`] with
-//! [`Columnar::Exact`]). The columnar kernels target exactly this
-//! memo-miss cold path — hoisted circuit solves instead of cached ones
-//! — and must stay bit-identical to the scalar arm
-//! (`cold_checksum_match`).
+//! memoization disabled, comparing the per-point reference
+//! ([`xlda_core::evaluate::sweep_scenarios_reference`]) against the
+//! columnar SoA batch kernels every
+//! [`xlda_core::evaluate::sweep_scenarios`] call runs. The kernels
+//! target exactly this memo-miss cold path — hoisted circuit solves
+//! instead of cached ones — and must stay bit-identical to the
+//! reference (`cold_checksum_match`).
 
 use std::fmt::Write as _;
+use std::time::Instant;
 use xlda_circuit::tech::TechNode;
-use xlda_core::evaluate::{sweep_scenarios_with_stats, HdcScenario, MannScenario, Scenario};
+use xlda_core::evaluate::{
+    sweep_scenarios, sweep_scenarios_reference, HdcScenario, MannScenario, Scenario,
+};
 use xlda_core::mc::{MannAccuracyMcScenario, McParams};
-use xlda_core::sweep::{memo, sweep_with_stats, Columnar, SweepOptions, SweepStats};
+use xlda_core::sweep::{diff_caches, memo, sweep_with_stats, SweepOptions, SweepStats};
 use xlda_core::triage::{rank, Objective};
 use xlda_num::batch::{CandidateBatch, PointStatus};
+use xlda_serve::json::Json;
 
 /// The benchmark workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,15 +150,16 @@ impl WorkloadResult {
     }
 }
 
-/// Cold-path comparison: the scalar engine vs the columnar batch
+/// Cold-path comparison: the per-point reference vs the columnar batch
 /// kernels, both with memoization disabled. This isolates the kernel
 /// gain (hoisted invariant solves, SoA inner loops) from the memo
 /// cache the warm arms lean on.
 #[derive(Debug, Clone)]
 pub struct ColdPath {
-    /// Per-point scalar evaluation (`Columnar::Off`), memo off.
+    /// Per-point reference evaluation (`sweep_scenarios_reference`),
+    /// memo off.
     pub scalar: RunStats,
-    /// SoA batch kernels (`Columnar::Exact`), memo off.
+    /// SoA batch kernels (`sweep_scenarios`), memo off.
     pub columnar: RunStats,
 }
 
@@ -456,22 +461,42 @@ fn run_stats(stats: &SweepStats, checksum: u64) -> RunStats {
     }
 }
 
-/// One cold trial: memoization and spans off, scenarios swept through
-/// [`sweep_scenarios_with_stats`], checksum folded from the batch.
-fn measure_cold_once<S: Scenario>(inputs: &[S], opts: &SweepOptions, fields: usize) -> RunStats {
+/// One cold trial: memoization and spans off, scenarios swept by
+/// `sweep` ([`sweep_scenarios`] or its per-point reference) at the
+/// default options, checksum folded from the batch.
+fn measure_cold_once<S: Scenario>(
+    inputs: &[S],
+    sweep: fn(&[S], &SweepOptions) -> CandidateBatch,
+    fields: usize,
+) -> RunStats {
     memo::clear_all();
     memo::set_enabled(false);
     xlda_obs::reset_aggregates();
     xlda_obs::set_enabled(false);
-    let (batch, stats) = sweep_scenarios_with_stats(inputs, opts);
+    let caches_before = memo::snapshot();
+    let start = Instant::now();
+    let batch = sweep(inputs, &SweepOptions::default());
+    let elapsed = start.elapsed();
+    let caches = diff_caches(&caches_before, memo::snapshot());
     memo::set_enabled(true);
+    let stats = SweepStats {
+        points: inputs.len(),
+        elapsed,
+        caches,
+        layers: Vec::new(),
+        slowest: Vec::new(),
+    };
     run_stats(&stats, fold_batch(&batch, fields))
 }
 
-fn measure_cold<S: Scenario>(inputs: &[S], opts: &SweepOptions, fields: usize) -> RunStats {
+fn measure_cold<S: Scenario>(
+    inputs: &[S],
+    sweep: fn(&[S], &SweepOptions) -> CandidateBatch,
+    fields: usize,
+) -> RunStats {
     let mut best: Option<RunStats> = None;
     for _ in 0..TRIALS {
-        let run = measure_cold_once(inputs, opts, fields);
+        let run = measure_cold_once(inputs, sweep, fields);
         if best.as_ref().is_none_or(|b| run.elapsed_s < b.elapsed_s) {
             best = Some(run);
         }
@@ -479,17 +504,15 @@ fn measure_cold<S: Scenario>(inputs: &[S], opts: &SweepOptions, fields: usize) -
     best.expect("TRIALS >= 1")
 }
 
-/// Cold-path pair for one workload: the scalar work-stealing engine
-/// (its strongest memo-less configuration, so the ratio credits the
-/// kernels and not the scheduler) vs the columnar batch kernels.
+/// Cold-path pair for one workload: the per-point reference on the
+/// work-stealing engine (its strongest memo-less configuration, so the
+/// ratio credits the kernels and not the scheduler) vs the columnar
+/// batch kernels.
 fn cold_compare<S: Scenario>(inputs: &[S], fields: usize) -> ColdPath {
-    let scalar = measure_cold(inputs, &SweepOptions::default(), fields);
-    let columnar = measure_cold(
-        inputs,
-        &SweepOptions::builder().columnar(Columnar::Exact).build(),
-        fields,
-    );
-    ColdPath { scalar, columnar }
+    ColdPath {
+        scalar: measure_cold(inputs, sweep_scenarios_reference, fields),
+        columnar: measure_cold(inputs, sweep_scenarios, fields),
+    }
 }
 
 fn compare<I, F>(name: &'static str, inputs: &[I], f: F, obs_on: bool) -> WorkloadResult
@@ -694,15 +717,15 @@ fn push_run(out: &mut String, r: &RunStats) {
 /// Renders the results as the `BENCH_sweep.json` trajectory document.
 ///
 /// Hand-rolled emission: the workspace has no serialization crate, so
-/// the report writes (and the CI gate scans) this fixed schema directly.
+/// the report writes this fixed schema directly.
 pub fn to_json(results: &[WorkloadResult], smoke: bool) -> String {
     to_json_with_store(results, &[], smoke)
 }
 
 /// [`to_json`] with the persistent-store arm appended as a
 /// `store_arms` array (omitted when empty). Store-arm entries key on
-/// `store_workload` rather than `name` so [`scan_after`] lookups cannot
-/// collide with the engine-comparison entries.
+/// `store_workload` rather than `name`, so they cannot be mistaken for
+/// the engine-comparison entries.
 pub fn to_json_with_store(
     results: &[WorkloadResult],
     store_arms: &[crate::store_bench::StoreArmResult],
@@ -757,30 +780,24 @@ pub fn to_json_with_store(
     out
 }
 
-/// Scans `json` for the object following `"name":"<name>"` and returns
-/// the numeric value of `field` inside it, if present.
-///
-/// A deliberate micro-parser: both the baseline file and the report are
-/// emitted by this module with fixed key order, so full JSON parsing
-/// machinery (which the offline vendor shims do not provide) is not
-/// needed for the CI gate.
-pub fn scan_field(json: &str, name: &str, field: &str) -> Option<f64> {
-    scan_after(json, &format!("\"name\":\"{name}\""), field)
+/// The `workloads[]` entry of `doc` (a baseline or a report) whose
+/// `key` field (`"name"`, or `"store_workload"` in store reports) is
+/// `name`.
+pub(crate) fn workload_entry<'a>(doc: &'a Json, key: &str, name: &str) -> Option<&'a Json> {
+    doc.get("workloads")?
+        .as_arr()?
+        .iter()
+        .find(|w| w.get(key).and_then(Json::as_str) == Some(name))
 }
 
-/// [`scan_field`] with an explicit anchor string: returns the numeric
-/// value of the first `"<field>":` after the first `anchor`. The store
-/// arms use this with a `"store_workload"` anchor key so their fields
-/// cannot be confused with the engine-comparison entries of the same
-/// workload name.
-pub fn scan_after(json: &str, anchor: &str, field: &str) -> Option<f64> {
-    let start = json.find(anchor)? + anchor.len();
-    let rest = &json[start..];
-    let key = format!("\"{field}\":");
-    let at = rest.find(&key)? + key.len();
-    let tail = &rest[at..];
-    let end = tail.find([',', '}']).unwrap_or(tail.len());
-    tail[..end].trim().parse().ok()
+/// Parses a document a gate reads (`what` names it in the failure),
+/// recording a gate failure and returning `null` when it is not valid
+/// JSON, so the gate then finds no floors in it.
+pub(crate) fn parse_gate_input(text: &str, what: &str, failures: &mut Vec<String>) -> Json {
+    Json::parse(text.trim()).unwrap_or_else(|e| {
+        failures.push(format!("{what} is not valid JSON: {e}"));
+        Json::Null
+    })
 }
 
 /// Gates `results` against a committed baseline document.
@@ -800,14 +817,17 @@ pub fn check_against_baseline(
     tolerance: f64,
 ) -> Vec<String> {
     let mut failures = Vec::new();
+    let baseline = parse_gate_input(baseline_json, "baseline", &mut failures);
     for r in results {
+        let entry = workload_entry(&baseline, "name", r.name);
+        let committed = |field: &str| entry.and_then(|e| e.get(field)).and_then(Json::as_f64);
         if !r.checksum_match() {
             failures.push(format!(
                 "{} [v1 baseline vs v2 warm]: checksum mismatch ({:016x} vs {:016x})",
                 r.name, r.baseline.checksum, r.v2.checksum
             ));
         }
-        if let Some(floor) = scan_field(baseline_json, r.name, "points_per_sec") {
+        if let Some(floor) = committed("points_per_sec") {
             let min = floor * (1.0 - tolerance);
             if r.v2.points_per_sec < min {
                 failures.push(format!(
@@ -821,7 +841,7 @@ pub fn check_against_baseline(
                 ));
             }
         }
-        if let Some(min_speedup) = scan_field(baseline_json, r.name, "min_speedup") {
+        if let Some(min_speedup) = committed("min_speedup") {
             if r.speedup() < min_speedup {
                 failures.push(format!(
                     "{} [v2 warm]: speedup {:.2}x below required {:.2}x",
@@ -831,23 +851,18 @@ pub fn check_against_baseline(
                 ));
             }
         }
-        // Gated only for MC workloads: scan_field searches forward from
-        // the name anchor, so asking for a key the entry doesn't have
-        // would match the next workload's.
-        if r.trials_per_point > 0 {
-            if let Some(floor) = scan_field(baseline_json, r.name, "trials_per_sec") {
-                let min = floor * (1.0 - tolerance);
-                if r.trials_per_sec() < min {
-                    failures.push(format!(
-                        "{} [v2 warm]: {:.0} trials/s regressed below {:.0} \
-                         (floor {:.0} − {:.0}% tolerance)",
-                        r.name,
-                        r.trials_per_sec(),
-                        min,
-                        floor,
-                        tolerance * 100.0
-                    ));
-                }
+        if let Some(floor) = committed("trials_per_sec") {
+            let min = floor * (1.0 - tolerance);
+            if r.trials_per_sec() < min {
+                failures.push(format!(
+                    "{} [v2 warm]: {:.0} trials/s regressed below {:.0} \
+                     (floor {:.0} − {:.0}% tolerance)",
+                    r.name,
+                    r.trials_per_sec(),
+                    min,
+                    floor,
+                    tolerance * 100.0
+                ));
             }
         }
         if let Some(cold) = &r.cold {
@@ -857,7 +872,7 @@ pub fn check_against_baseline(
                     r.name, cold.scalar.checksum, cold.columnar.checksum
                 ));
             }
-            if let Some(floor) = scan_field(baseline_json, r.name, "cold_points_per_sec") {
+            if let Some(floor) = committed("cold_points_per_sec") {
                 let min = floor * (1.0 - tolerance);
                 if cold.columnar.points_per_sec < min {
                     failures.push(format!(
@@ -871,7 +886,7 @@ pub fn check_against_baseline(
                     ));
                 }
             }
-            if let Some(min_speedup) = scan_field(baseline_json, r.name, "min_cold_speedup") {
+            if let Some(min_speedup) = committed("min_cold_speedup") {
                 if cold.speedup() < min_speedup {
                     failures.push(format!(
                         "{} [columnar cold]: cold speedup {:.2}x below required {:.2}x",
@@ -988,15 +1003,15 @@ pub fn print_obs_overhead(o: &ObsOverhead) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store_bench::{check_store_baseline, ArmStats, StoreArmResult};
 
-    /// Serializes tests that run workloads: each measurement toggles the
-    /// process-global memo and span switches, which must not race a
-    /// concurrent test.
-    static MEMO_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    fn report(results: &[WorkloadResult]) -> Json {
+        Json::parse(to_json(results, true).trim()).expect("report is valid JSON")
+    }
 
     #[test]
     fn triage_smoke_is_transparent_and_faster() {
-        let _guard = MEMO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = crate::test_lock();
         let r = run_workload(Workload::Triage, true);
         assert_eq!(r.points, 8);
         assert!(
@@ -1012,7 +1027,7 @@ mod tests {
 
     #[test]
     fn layer_breakdown_accounts_for_wall_time() {
-        let _guard = MEMO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = crate::test_lock();
         // Single-threaded so span-covered time is comparable to wall
         // time (with N workers the spans sum to ~N× wall).
         let inputs = grid_hdc(true);
@@ -1035,7 +1050,7 @@ mod tests {
 
     #[test]
     fn obs_overhead_is_transparent() {
-        let _guard = MEMO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = crate::test_lock();
         let o = run_obs_overhead(Workload::Triage, true);
         assert!(
             o.checksum_match(),
@@ -1049,7 +1064,7 @@ mod tests {
 
     #[test]
     fn mc_smoke_is_deterministic_across_engine_paths() {
-        let _guard = MEMO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = crate::test_lock();
         let r = run_workload(Workload::Mc, true);
         assert_eq!(r.trials_per_point, MC_TRIALS_PER_POINT);
         // The two arms differ in schedule and memoization; identical
@@ -1061,15 +1076,19 @@ mod tests {
             r.v2.checksum
         );
         assert!(r.trials_per_sec() > 0.0);
-        let json = to_json(std::slice::from_ref(&r), true);
+        let doc = report(std::slice::from_ref(&r));
+        let mc = workload_entry(&doc, "name", "mc").expect("mc entry in report");
         assert_eq!(
-            scan_field(&json, "mc", "trials_per_point").map(|p| p as usize),
+            mc.get("trials_per_point").and_then(Json::as_usize),
             Some(MC_TRIALS_PER_POINT)
         );
-        let tps = scan_field(&json, "mc", "trials_per_sec").expect("trials_per_sec in report");
+        let tps = mc
+            .get("trials_per_sec")
+            .and_then(Json::as_f64)
+            .expect("trials_per_sec in report");
         assert!((tps - r.trials_per_sec()).abs() < 1.0);
         // The trials_per_sec floor gates like points_per_sec does.
-        let impossible = "{\"name\":\"mc\",\"trials_per_sec\":1e15}";
+        let impossible = r#"{"workloads":[{"name":"mc","trials_per_sec":1e15}]}"#;
         let failures = check_against_baseline(std::slice::from_ref(&r), impossible, 0.3);
         assert!(
             failures.iter().any(|f| f.contains("trials/s")),
@@ -1078,28 +1097,29 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrips_through_scanner() {
-        let _guard = MEMO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fn json_report_round_trips() {
+        let _guard = crate::test_lock();
         let r = run_workload(Workload::Mann, true);
-        let json = to_json(std::slice::from_ref(&r), true);
-        let pps = scan_field(&json, "mann", "points_per_sec").expect("scan v2 pts/s");
-        // First points_per_sec after the name anchor is the baseline's.
+        let doc = report(std::slice::from_ref(&r));
+        let mann = workload_entry(&doc, "name", "mann").expect("mann entry in report");
+        let pps = mann
+            .get("baseline")
+            .and_then(|b| b.get("points_per_sec"))
+            .and_then(Json::as_f64)
+            .expect("baseline pts/s");
         assert!((pps - r.baseline.points_per_sec).abs() < 1e-3);
-        assert_eq!(
-            scan_field(&json, "mann", "points").map(|p| p as usize),
-            Some(r.points)
-        );
-        assert!(scan_field(&json, "absent", "points_per_sec").is_none());
+        assert_eq!(mann.get("points").and_then(Json::as_usize), Some(r.points));
+        assert!(workload_entry(&doc, "name", "absent").is_none());
     }
 
     #[test]
     fn cold_columnar_arm_is_bit_identical_and_gated() {
-        let _guard = MEMO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = crate::test_lock();
         let r = run_workload(Workload::Hdc, true);
         let cold = r.cold.as_ref().expect("hdc carries a cold arm");
         assert!(
             cold.checksum_match(),
-            "columnar kernels must be bit-identical to the cold scalar path: \
+            "columnar kernels must be bit-identical to the cold reference: \
              {:016x} vs {:016x}",
             cold.scalar.checksum,
             cold.columnar.checksum
@@ -1109,11 +1129,16 @@ mod tests {
         assert_eq!(cold.scalar.checksum, r.baseline.checksum);
         assert_eq!(cold.scalar.cache_hits, 0, "cold arms must not memoize");
         assert_eq!(cold.columnar.cache_hits, 0, "cold arms must not memoize");
-        let json = to_json(std::slice::from_ref(&r), true);
-        assert!(scan_field(&json, "hdc", "cold_speedup").is_some());
-        assert!(json.contains("\"cold_checksum_match\":true"), "{json}");
+        let doc = report(std::slice::from_ref(&r));
+        let hdc = workload_entry(&doc, "name", "hdc").expect("hdc entry in report");
+        assert!(hdc.get("cold_speedup").and_then(Json::as_f64).is_some());
+        assert_eq!(
+            hdc.get("cold_checksum_match").and_then(Json::as_bool),
+            Some(true)
+        );
         // Cold floors gate like the warm ones, with arm-labeled messages.
-        let impossible = "{\"name\":\"hdc\",\"cold_points_per_sec\":1e15,\"min_cold_speedup\":1e9}";
+        let impossible =
+            r#"{"workloads":[{"name":"hdc","cold_points_per_sec":1e15,"min_cold_speedup":1e9}]}"#;
         let failures = check_against_baseline(std::slice::from_ref(&r), impossible, 0.3);
         assert_eq!(failures.len(), 2, "{failures:?}");
         assert!(failures[0].contains("hdc [columnar cold]") && failures[0].contains("regressed"));
@@ -1122,15 +1147,94 @@ mod tests {
 
     #[test]
     fn baseline_gate_catches_regressions() {
-        let _guard = MEMO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = crate::test_lock();
         let r = run_workload(Workload::Hdc, true);
-        let generous = format!("{{\"name\":\"hdc\",\"points_per_sec\":{:.3}}}", 1e-6);
-        assert!(check_against_baseline(std::slice::from_ref(&r), &generous, 0.3).is_empty());
+        let generous = r#"{"workloads":[{"name":"hdc","points_per_sec":1e-6}]}"#;
+        assert!(check_against_baseline(std::slice::from_ref(&r), generous, 0.3).is_empty());
         let impossible =
-            "{\"name\":\"hdc\",\"points_per_sec\":1e15,\"min_speedup\":1e9}".to_string();
-        let failures = check_against_baseline(&[r], &impossible, 0.3);
+            r#"{"workloads":[{"name":"hdc","points_per_sec":1e15,"min_speedup":1e9}]}"#;
+        let failures = check_against_baseline(std::slice::from_ref(&r), impossible, 0.3);
         assert_eq!(failures.len(), 2, "{failures:?}");
         assert!(failures[0].contains("regressed"));
         assert!(failures[1].contains("speedup"));
+        let failures = check_against_baseline(&[r], "{\"workloads\":", 0.3);
+        assert!(failures[0].contains("not valid JSON"), "{failures:?}");
+    }
+
+    fn run_at(points_per_sec: f64) -> RunStats {
+        RunStats {
+            elapsed_s: 1.0,
+            points_per_sec,
+            cache_hits: 0,
+            cache_misses: 0,
+            cache_hit_rate: 0.0,
+            caches: Vec::new(),
+            layers: Vec::new(),
+            checksum: 0,
+        }
+    }
+
+    fn arm_at(points_per_sec: f64) -> ArmStats {
+        ArmStats {
+            elapsed_s: 1.0,
+            points_per_sec,
+            hits: 1,
+            misses: 0,
+            checksum: 0,
+        }
+    }
+
+    /// Runs that miss every floor of the committed baseline (zero
+    /// throughput, trials and speedups on every arm) must trip each one:
+    /// a floor the gate cannot find is silently skipped.
+    #[test]
+    fn gate_reads_every_committed_floor() {
+        let text = include_str!("../../../ci/bench_baseline.json");
+        let baseline = Json::parse(text).expect("committed baseline parses");
+        let entries = baseline
+            .get("workloads")
+            .and_then(Json::as_arr)
+            .expect("workloads list");
+        // Every numeric field of a workload entry is a floor.
+        let floors: usize = entries
+            .iter()
+            .map(|e| match e {
+                Json::Obj(fields) => fields.iter().filter(|(_, v)| v.as_f64().is_some()).count(),
+                _ => 0,
+            })
+            .sum();
+        let results: Vec<WorkloadResult> = Workload::all()
+            .iter()
+            .map(|w| WorkloadResult {
+                name: w.name(),
+                points: 1,
+                baseline: run_at(1.0),
+                v2: run_at(0.0),
+                trials_per_point: 1,
+                cold: Some(ColdPath {
+                    scalar: run_at(1.0),
+                    columnar: run_at(0.0),
+                }),
+            })
+            .collect();
+        let arms: Vec<StoreArmResult> = Workload::all()
+            .iter()
+            .map(|w| StoreArmResult {
+                name: w.name(),
+                points: 1,
+                cold: arm_at(1.0),
+                warm: arm_at(0.0),
+            })
+            .collect();
+        let mut failures = check_against_baseline(&results, text, 0.3);
+        failures.extend(check_store_baseline(&arms, text));
+        assert_eq!(failures.len(), floors, "{failures:#?}");
+        for w in Workload::all() {
+            assert!(
+                failures.iter().any(|f| f.contains(w.name())),
+                "no floor read for {}: {failures:#?}",
+                w.name()
+            );
+        }
     }
 }

@@ -17,23 +17,21 @@
 //! per-workload free functions, deprecated in 0.2.0, were removed in
 //! 0.3.0.)
 //!
-//! # Columnar sweeps
+//! # Batch sweeps
 //!
 //! [`sweep_scenarios`] evaluates a slice of same-type scenarios into one
-//! [`CandidateBatch`] (structure-of-arrays columns). With
-//! [`Columnar::Exact`] the work-stealing scheduler hands whole chunks to
-//! [`Scenario::candidates_batch`], whose built-in overrides hoist
-//! invariant circuit solves out of the point loop through exact-equality
-//! caches — the memo-miss cold path's dominant cost — while staying
-//! bit-identical to the scalar path (see `DESIGN.md` §14).
+//! [`CandidateBatch`] (structure-of-arrays columns). The work-stealing
+//! scheduler hands whole chunks to [`Scenario::candidates_batch`], whose
+//! built-in overrides hoist invariant circuit solves out of the point
+//! loop through exact-equality caches — the memo-miss cold path's
+//! dominant cost — while staying bit-identical to the per-point
+//! reference [`sweep_scenarios_reference`] (see `DESIGN.md` §14).
 
 use crate::error::{validate_fom, XldaError};
 use crate::fom::{Candidate, Fom};
 use crate::mc::McDistribution;
 use crate::store::{Digest, DigestWriter};
-use crate::sweep::{
-    self, par_batch_map, par_try_map_with, Columnar, PointFailure, SweepOptions, SweepStats,
-};
+use crate::sweep::{self, par_batch_map, par_try_map_with, PointFailure, SweepOptions};
 use std::time::Instant;
 use xlda_baseline::{HybridPipeline, Kernel, Platform};
 use xlda_circuit::hoist::ExactCache;
@@ -102,11 +100,12 @@ pub trait Scenario: Send + Sync {
     }
 
     /// Evaluates a whole batch of scenarios into columnar storage — the
-    /// memo-miss cold-path kernel behind [`Columnar::Exact`].
+    /// per-chunk kernel every [`sweep_scenarios`] call runs.
     ///
     /// The provided implementation evaluates each point through
-    /// [`Scenario::candidates`], so external `Scenario` impls keep
-    /// compiling (and gain columnar dispatch) with no extra work.
+    /// [`Scenario::candidates`]; kinds without a specialised kernel
+    /// (`tpu_nvm`, `edge`, the Monte-Carlo kinds, external impls) sweep
+    /// through it with no extra work.
     /// Overrides may hoist work that is invariant across the batch —
     /// shared circuit solves, interned names, column scratch — but must
     /// stay **bit-identical** to the scalar path: for every point, the
@@ -122,7 +121,7 @@ pub trait Scenario: Send + Sync {
     /// which re-evaluates that chunk per point.
     ///
     /// `where Self: Sized` keeps the trait dyn-compatible; boxed
-    /// scenarios take the scalar per-point path.
+    /// scenarios take this provided per-point implementation.
     fn candidates_batch(batch: &[Self], out: &mut CandidateBatch)
     where
         Self: Sized,
@@ -133,6 +132,22 @@ pub trait Scenario: Send + Sync {
                 Err(e) => out.fail_point(PointStatus::Error, e.to_string()),
             }
         }
+    }
+
+    /// Whether [`Scenario::candidates_batch`] is a specialised kernel
+    /// that amortises work over a chunk (default `false`).
+    ///
+    /// [`sweep_scenarios`] sizes chunks by it: kernel kinds get the
+    /// fat columnar chunks of [`sweep::par_batch_map`]; the rest get
+    /// the per-point heuristic of [`sweep::par_map`], so one heavy point
+    /// (a Monte-Carlo population, say) cannot strand a small grid on
+    /// one worker.
+    /// Scheduling only — the output does not depend on it.
+    fn batch_kernel() -> bool
+    where
+        Self: Sized,
+    {
+        false
     }
 
     /// Content address of this scenario's complete parameter set for
@@ -469,7 +484,11 @@ impl Scenario for HdcScenario {
         Ok(out)
     }
 
-    /// Columnar Fig. 3H kernel. Hoisted once per batch: the 256x256
+    fn batch_kernel() -> bool {
+        true
+    }
+
+    /// Batch Fig. 3H kernel. Hoisted once per batch: the 256x256
     /// crossbar macro solve (per tech node), the CAM sense-margin search
     /// (per matchline config), and the NVM geometry sub-solves (per
     /// subarray shape) — the dominant self-time of the memo-miss cold
@@ -561,7 +580,7 @@ struct HdcHoists {
     rams: RamBatchSolver,
 }
 
-/// Columnar encode-tile columns for one HDC batch: per CAM design, the
+/// SoA encode-tile columns for one HDC batch: per CAM design, the
 /// `(t_encode, e_encode, a_encode)` column triple produced by the
 /// lane-unrolled kernels in [`xlda_num::batch`] from `u32` tile counts.
 /// Only built when the whole batch shares one tech node (one crossbar
@@ -1002,7 +1021,11 @@ impl Scenario for MannScenario {
         mann_compose(s, mvm_latency_s, mvm_energy_j, area_m2, &rep)
     }
 
-    /// Columnar MANN kernel: hoists the 64x64 crossbar macro solve (per
+    fn batch_kernel() -> bool {
+        true
+    }
+
+    /// Batch MANN kernel: hoists the 64x64 crossbar macro solve (per
     /// tech node) and the TCAM sense-margin search (per matchline
     /// config) across the batch, then composes each point through
     /// [`mann_compose`] — bit-identical to [`Scenario::candidates`].
@@ -1114,7 +1137,7 @@ fn mann_compose(
 }
 
 // ---------------------------------------------------------------------------
-// Columnar sweep entry points.
+// Scenario sweep entry points.
 // ---------------------------------------------------------------------------
 
 /// Message recorded on points skipped by an expired sweep deadline;
@@ -1132,52 +1155,59 @@ thread_local! {
 /// Evaluates a grid of same-type scenarios into one [`CandidateBatch`],
 /// preserving input order, with per-point error/panic containment.
 ///
-/// [`Columnar::Off`] (the default) evaluates per point through
-/// [`Scenario::candidates`] on the scalar work-stealing engine.
-/// [`Columnar::Exact`] hands whole chunks to
-/// [`Scenario::candidates_batch`]; a chunk whose kernel panics or
-/// miscounts its points is transparently re-evaluated per point. The two
-/// modes produce batches with identical checksums
-/// ([`CandidateBatch::checksum`]) on deadline-free sweeps — `Exact` is an
-/// opt-in for cold-path throughput, never a numerics change.
+/// The work-stealing scheduler hands whole chunks to
+/// [`Scenario::candidates_batch`], sized by [`Scenario::batch_kernel`]
+/// (columnar chunks for kernel kinds, the per-point heuristic for the
+/// rest); a chunk whose kernel panics or
+/// miscounts its points is re-evaluated per point. The output is
+/// bit-identical ([`CandidateBatch::checksum`]) to
+/// [`sweep_scenarios_reference`] on deadline-free sweeps under the same
+/// memo setting, and exact by construction with memo off: the kernels
+/// reuse the scalar expressions and only hoist sub-solves the scalar
+/// path recomputes from identical inputs.
 ///
-/// [`SweepOptions::deadline`] is honored at point granularity in scalar
-/// mode and at *chunk* granularity in columnar mode (an admitted chunk
-/// runs to completion), so under an expired deadline the two modes may
-/// skip different points.
+/// [`SweepOptions::deadline`] is honored at *chunk* granularity (an
+/// admitted chunk runs to completion), so under an expired deadline
+/// this may skip different points than the per-point reference.
 pub fn sweep_scenarios<S: Scenario>(scenarios: &[S], opts: &SweepOptions) -> CandidateBatch {
-    match opts.columnar() {
-        Columnar::Off => {
-            let results = par_try_map_with(scenarios, |s| s.candidates(), opts);
-            let mut out = CandidateBatch::new();
-            for r in results {
-                match r {
-                    Ok(cands) => push_candidates(&mut out, &cands),
-                    Err(PointFailure::Error(e)) => {
-                        out.fail_point(PointStatus::Error, e.to_string());
-                    }
-                    Err(PointFailure::Panicked(msg)) => {
-                        out.fail_point(PointStatus::Panicked, msg);
-                    }
-                    Err(PointFailure::DeadlineExceeded) => {
-                        out.fail_point(PointStatus::DeadlineExceeded, DEADLINE_MSG);
-                    }
-                }
+    let expires_at = opts.deadline().map(|d| Instant::now() + d);
+    let run = |_base: usize, slice: &[S]| run_columnar_chunk(slice, expires_at);
+    let chunks = if S::batch_kernel() {
+        par_batch_map(scenarios, opts, run)
+    } else {
+        let clamp = sweep::MIN_AUTO_CHUNK..=sweep::MAX_AUTO_CHUNK;
+        sweep::run_chunks(scenarios, opts, sweep::TARGET_STEALS_PER_WORKER, clamp, run)
+    };
+    let mut out = CandidateBatch::new();
+    for c in &chunks {
+        out.append(c);
+    }
+    out
+}
+
+/// The per-point reference [`sweep_scenarios`] must match: every point
+/// evaluates through [`Scenario::candidates`] on the scalar engine
+/// ([`par_try_map_with`], deadline at point granularity), and the
+/// candidate sets are packed into a [`CandidateBatch`] in input order.
+///
+/// This is the oracle of the parity tests and the cold-path bench arm;
+/// production sweeps call [`sweep_scenarios`].
+pub fn sweep_scenarios_reference<S: Scenario>(
+    scenarios: &[S],
+    opts: &SweepOptions,
+) -> CandidateBatch {
+    let mut out = CandidateBatch::new();
+    for r in par_try_map_with(scenarios, |s| s.candidates(), opts) {
+        match r {
+            Ok(cands) => push_candidates(&mut out, &cands),
+            Err(PointFailure::Error(e)) => out.fail_point(PointStatus::Error, e.to_string()),
+            Err(PointFailure::Panicked(msg)) => out.fail_point(PointStatus::Panicked, msg),
+            Err(PointFailure::DeadlineExceeded) => {
+                out.fail_point(PointStatus::DeadlineExceeded, DEADLINE_MSG);
             }
-            out
-        }
-        Columnar::Exact => {
-            let expires_at = opts.deadline().map(|d| Instant::now() + d);
-            let chunks = par_batch_map(scenarios, opts, |_base, slice| {
-                run_columnar_chunk(slice, expires_at)
-            });
-            let mut out = CandidateBatch::new();
-            for c in &chunks {
-                out.append(c);
-            }
-            out
         }
     }
+    out
 }
 
 /// One columnar chunk: deadline check, batch kernel under a chunk-level
@@ -1219,32 +1249,6 @@ fn run_columnar_chunk<S: Scenario>(slice: &[S], expires_at: Option<Instant>) -> 
             out
         }
     }
-}
-
-/// Runs [`sweep_scenarios`] and measures it: wall time, memo-cache
-/// deltas, and the per-span layer breakdown, diffed over just this
-/// sweep like [`sweep::sweep_with_stats`]. Columnar dispatch has no
-/// per-point timing boundary, so `stats.slowest` is always empty here —
-/// use the scalar stats path when slow-point capture matters.
-pub fn sweep_scenarios_with_stats<S: Scenario>(
-    scenarios: &[S],
-    opts: &SweepOptions,
-) -> (CandidateBatch, SweepStats) {
-    let caches_before = sweep::memo::snapshot();
-    let spans_before = xlda_obs::span::aggregate_snapshot();
-    let start = Instant::now();
-    let out = sweep_scenarios(scenarios, opts);
-    let stats = SweepStats {
-        points: scenarios.len(),
-        elapsed: start.elapsed(),
-        caches: sweep::diff_caches(&caches_before, sweep::memo::snapshot()),
-        layers: xlda_obs::span::diff_aggregates(
-            &spans_before,
-            &xlda_obs::span::aggregate_snapshot(),
-        ),
-        slowest: Vec::new(),
-    };
-    (out, stats)
 }
 
 #[cfg(test)]
@@ -1484,24 +1488,111 @@ mod tests {
     }
 
     #[test]
-    fn sweep_scenarios_modes_agree_and_contain_failures() {
+    fn sweep_scenarios_matches_the_reference() {
         let grid: Vec<HdcScenario> = (0..10)
             .map(|i| HdcScenario {
                 dim_in: 600 + 37 * i,
                 ..HdcScenario::default()
             })
             .collect();
-        let scalar = sweep_scenarios(&grid, &SweepOptions::builder().threads(2).build());
-        let columnar = sweep_scenarios(
-            &grid,
-            &SweepOptions::builder()
-                .threads(2)
-                .chunk(3)
-                .columnar(Columnar::Exact)
-                .build(),
-        );
-        assert_bit_identical(&scalar, &columnar);
+        let reference =
+            sweep_scenarios_reference(&grid, &SweepOptions::builder().threads(2).build());
+        let columnar = sweep_scenarios(&grid, &SweepOptions::builder().threads(2).chunk(3).build());
+        assert_bit_identical(&reference, &columnar);
         assert_eq!(columnar.points(), grid.len());
+    }
+
+    /// A scenario whose batch kernel tags its lanes, so a sweep shows
+    /// which path evaluated it.
+    struct KernelTagged;
+
+    impl KernelTagged {
+        fn tagged(name: &str) -> Candidate {
+            Candidate::new(
+                name,
+                Fom {
+                    latency_s: 1.0,
+                    energy_j: 1.0,
+                    area_mm2: 0.0,
+                    accuracy: 0.5,
+                },
+            )
+        }
+    }
+
+    impl Scenario for KernelTagged {
+        fn kind(&self) -> &'static str {
+            "kernel-tagged"
+        }
+
+        fn candidates(&self) -> Result<Vec<Candidate>, XldaError> {
+            Ok(vec![Self::tagged("per-point")])
+        }
+
+        fn candidates_batch(batch: &[Self], out: &mut CandidateBatch) {
+            for _ in batch {
+                push_candidates(out, &[Self::tagged("kernel")]);
+            }
+        }
+    }
+
+    #[test]
+    fn default_sweep_runs_the_batch_kernel() {
+        let out = sweep_scenarios(&[KernelTagged, KernelTagged], &SweepOptions::default());
+        assert_eq!(out.points(), 2);
+        assert_eq!(out.lane_name(0), "kernel");
+        assert_eq!(out.lane_name(1), "kernel");
+    }
+
+    /// Chunk lengths [`ChunkProbe`] kernels were handed.
+    static PROBED_CHUNKS: std::sync::Mutex<Vec<usize>> = std::sync::Mutex::new(Vec::new());
+
+    /// A scenario that records the chunks a sweep hands its kernel;
+    /// `KERNEL` is its [`Scenario::batch_kernel`].
+    struct ChunkProbe<const KERNEL: bool>;
+
+    impl<const KERNEL: bool> Scenario for ChunkProbe<KERNEL> {
+        fn kind(&self) -> &'static str {
+            "chunk-probe"
+        }
+
+        fn candidates(&self) -> Result<Vec<Candidate>, XldaError> {
+            Ok(vec![KernelTagged::tagged("per-point")])
+        }
+
+        fn candidates_batch(batch: &[Self], out: &mut CandidateBatch) {
+            PROBED_CHUNKS.lock().unwrap().push(batch.len());
+            for _ in batch {
+                push_candidates(out, &[KernelTagged::tagged("kernel")]);
+            }
+        }
+
+        fn batch_kernel() -> bool {
+            KERNEL
+        }
+    }
+
+    fn probed_chunks<const KERNEL: bool>(opts: &SweepOptions) -> Vec<usize> {
+        PROBED_CHUNKS.lock().unwrap().clear();
+        let grid: Vec<ChunkProbe<KERNEL>> = (0..8).map(|_| ChunkProbe).collect();
+        assert_eq!(sweep_scenarios(&grid, opts).points(), 8);
+        let mut chunks = std::mem::take(&mut *PROBED_CHUNKS.lock().unwrap());
+        chunks.sort_unstable();
+        chunks
+    }
+
+    #[test]
+    fn sweep_scenarios_sizes_chunks_by_batch_kernel() {
+        let two = SweepOptions::builder().threads(2).build();
+        // A kernel kind gets one columnar chunk (the columnar minimum)...
+        assert_eq!(probed_chunks::<true>(&two), vec![8]);
+        // ...a kind without one gets per-point chunks, so a heavy point
+        // cannot hold the whole grid on one worker.
+        assert_eq!(probed_chunks::<false>(&two), vec![1; 8]);
+        // An explicit chunk wins for both.
+        let fixed = SweepOptions::builder().threads(2).chunk(3).build();
+        assert_eq!(probed_chunks::<true>(&fixed), vec![2, 3, 3]);
+        assert_eq!(probed_chunks::<false>(&fixed), vec![2, 3, 3]);
     }
 
     /// A scenario whose evaluator panics on selected points, to exercise
@@ -1538,14 +1629,7 @@ mod tests {
                 panic_on: id == 4,
             })
             .collect();
-        let out = sweep_scenarios(
-            &grid,
-            &SweepOptions::builder()
-                .threads(2)
-                .chunk(3)
-                .columnar(Columnar::Exact)
-                .build(),
-        );
+        let out = sweep_scenarios(&grid, &SweepOptions::builder().threads(2).chunk(3).build());
         assert_eq!(out.points(), 9);
         for p in 0..9 {
             if p == 4 {
@@ -1565,7 +1649,6 @@ mod tests {
             &grid,
             &SweepOptions::builder()
                 .threads(1)
-                .columnar(Columnar::Exact)
                 .deadline(std::time::Duration::ZERO)
                 .build(),
         );
@@ -1574,21 +1657,6 @@ mod tests {
             assert_eq!(out.point_status(p), PointStatus::DeadlineExceeded);
             assert_eq!(out.point_message(p), Some(DEADLINE_MSG));
         }
-    }
-
-    #[test]
-    fn sweep_scenarios_with_stats_measures_the_sweep() {
-        let grid: Vec<MannScenario> = (0..4).map(|_| MannScenario::default()).collect();
-        let (out, stats) = sweep_scenarios_with_stats(
-            &grid,
-            &SweepOptions::builder()
-                .threads(1)
-                .columnar(Columnar::Exact)
-                .build(),
-        );
-        assert_eq!(out.points(), 4);
-        assert_eq!(stats.points, 4);
-        assert!(stats.slowest.is_empty());
     }
 
     #[test]

@@ -60,25 +60,6 @@ pub const MIN_COLUMNAR_CHUNK: usize = 8;
 /// Largest chunk columnar auto-sizing will pick.
 pub const MAX_COLUMNAR_CHUNK: usize = 4096;
 
-/// Whether sweeps evaluate through the columnar batch kernels.
-///
-/// `#[non_exhaustive]`: a future `Fast` variant may permit reassociating
-/// SoA transforms that are *not* bit-identical to the scalar path; any
-/// such mode will be a documented opt-in like this one, never a default
-/// (see `DESIGN.md` §14).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[non_exhaustive]
-pub enum Columnar {
-    /// Scalar per-point evaluation (the default).
-    #[default]
-    Off,
-    /// Columnar batch kernels restricted to bit-exact hoisting: cached
-    /// sub-solves are produced by the same pure functions on identical
-    /// inputs and composed in the scalar expression order, so results
-    /// are bit-identical to [`Columnar::Off`].
-    Exact,
-}
-
 /// Sweep engine tuning knobs.
 ///
 /// Since 0.3.0 this is builder-only: construct via
@@ -91,7 +72,6 @@ pub struct SweepOptions {
     pub(crate) threads: usize,
     pub(crate) chunk: usize,
     pub(crate) deadline: Option<Duration>,
-    pub(crate) columnar: Columnar,
 }
 
 impl SweepOptions {
@@ -126,8 +106,11 @@ impl SweepOptions {
 
     /// Points per stolen work unit; `0` picks a chunk that gives each
     /// worker ~[`TARGET_STEALS_PER_WORKER`] steals (clamped to
-    /// [`MIN_AUTO_CHUNK`]`..=`[`MAX_AUTO_CHUNK`]; columnar dispatch
-    /// sizes by [`COLUMNAR_TARGET_STEALS_PER_WORKER`] instead).
+    /// [`MIN_AUTO_CHUNK`]`..=`[`MAX_AUTO_CHUNK`]). Batch-kernel dispatch
+    /// ([`par_batch_map`], and so `xlda_core::evaluate::sweep_scenarios`
+    /// over kinds with a batch kernel) sizes by
+    /// [`COLUMNAR_TARGET_STEALS_PER_WORKER`] within
+    /// [`MIN_COLUMNAR_CHUNK`]`..=`[`MAX_COLUMNAR_CHUNK`] instead.
     /// `points.div_ceil(threads)` gives one contiguous chunk per worker.
     pub fn chunk(&self) -> usize {
         self.chunk
@@ -138,16 +121,12 @@ impl SweepOptions {
     /// ([`par_try_map_with`]): points whose evaluation has not started
     /// when the budget expires yield
     /// [`PointFailure::DeadlineExceeded`] instead of being evaluated.
-    /// Columnar dispatch checks at chunk (not point) granularity. The
-    /// infallible paths ignore it (a skipped point has no representable
-    /// outcome there). `None` (the default) never expires.
+    /// `xlda_core::evaluate::sweep_scenarios` checks at chunk (not
+    /// point) granularity. The infallible paths ignore it (a skipped
+    /// point has no representable outcome there). `None` (the default)
+    /// never expires.
     pub fn deadline(&self) -> Option<Duration> {
         self.deadline
-    }
-
-    /// Columnar-kernel mode (default: [`Columnar::Off`]).
-    pub fn columnar(&self) -> Columnar {
-        self.columnar
     }
 
     fn resolve_threads(&self, points: usize) -> usize {
@@ -203,12 +182,6 @@ impl SweepOptionsBuilder {
         self
     }
 
-    /// Sets the columnar-kernel mode.
-    pub fn columnar(mut self, columnar: Columnar) -> Self {
-        self.opts.columnar = columnar;
-        self
-    }
-
     /// Finalizes the options.
     pub fn build(self) -> SweepOptions {
         self.opts
@@ -221,7 +194,7 @@ impl SweepOptionsBuilder {
 /// reassembles the per-chunk outputs in chunk order, so output order
 /// never depends on thread interleaving. A one-worker sweep spawns no
 /// thread, so its spans nest under the caller's open spans.
-fn run_chunks<I, B, F>(
+pub(crate) fn run_chunks<I, B, F>(
     inputs: &[I],
     opts: &SweepOptions,
     steals: usize,
@@ -559,10 +532,10 @@ impl SweepStats {
     }
 }
 
-pub(crate) fn diff_caches(
-    before: &[CacheSnapshot],
-    after: Vec<CacheSnapshot>,
-) -> Vec<CacheSnapshot> {
+/// Per-cache hit/miss deltas between two [`memo::snapshot`]s, as
+/// [`SweepStats::caches`] reports them: for measuring a sweep that does
+/// not run through [`sweep_with_stats`].
+pub fn diff_caches(before: &[CacheSnapshot], after: Vec<CacheSnapshot>) -> Vec<CacheSnapshot> {
     after
         .into_iter()
         .map(|a| {
@@ -1013,15 +986,8 @@ mod tests {
     fn par_batch_map_preserves_chunk_order_and_coverage() {
         let inputs: Vec<u64> = (0..1000).collect();
         for opts in [
-            SweepOptions::builder()
-                .threads(4)
-                .columnar(Columnar::Exact)
-                .build(),
-            SweepOptions::builder()
-                .threads(3)
-                .chunk(7)
-                .columnar(Columnar::Exact)
-                .build(),
+            SweepOptions::builder().threads(4).build(),
+            SweepOptions::builder().threads(3).chunk(7).build(),
             SweepOptions::builder().threads(4).chunk(250).build(),
         ] {
             let chunks = par_batch_map(&inputs, &opts, |base, slice| {

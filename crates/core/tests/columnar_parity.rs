@@ -1,20 +1,23 @@
-//! Columnar/scalar parity property tests for the batch sweep kernels.
+//! Batch/per-point parity property tests for the columnar sweep kernels.
 //!
-//! The columnar engine's core contract is that [`Columnar::Exact`] is a
-//! *throughput* option, never a numerics option: for any grid, chunk
-//! size, worker count, or failure pattern, the batch kernels must
-//! produce a [`CandidateBatch`] bit-identical to the scalar per-point
-//! path — same lanes, same FOM bits, same error/panic containment.
+//! The columnar engine's core contract is that chunked batch kernels
+//! change throughput, never numerics: for any grid, chunk size, worker
+//! count, or failure pattern, [`sweep_scenarios`] must produce a
+//! [`CandidateBatch`] bit-identical to the per-point reference
+//! [`sweep_scenarios_reference`] — same lanes, same FOM bits, same
+//! error/panic containment.
 //! These tests pin that contract over random HDC / MANN / Monte-Carlo
 //! grids and a triage pass over the reconstructed candidates.
 
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use xlda_circuit::tech::TechNode;
-use xlda_core::evaluate::{sweep_scenarios, HdcScenario, MannScenario, Scenario};
+use xlda_core::evaluate::{
+    sweep_scenarios, sweep_scenarios_reference, HdcScenario, MannScenario, Scenario,
+};
 use xlda_core::fom::{Candidate, Fom};
 use xlda_core::mc::{MannAccuracyMcScenario, McParams};
-use xlda_core::sweep::{Columnar, SweepOptions};
+use xlda_core::sweep::SweepOptions;
 use xlda_core::triage::{rank, Objective};
 use xlda_core::XldaError;
 use xlda_num::batch::{CandidateBatch, PointStatus};
@@ -81,7 +84,6 @@ fn scalar_arm() -> SweepOptions {
 
 fn columnar_arm(chunk: usize, threads: usize) -> SweepOptions {
     SweepOptions::builder()
-        .columnar(Columnar::Exact)
         .chunk(chunk)
         .threads(threads)
         .build()
@@ -178,7 +180,7 @@ proptest! {
         chunk in 0usize..9,
         threads in 1usize..4,
     ) {
-        let scalar = sweep_scenarios(&grid, &scalar_arm());
+        let scalar = sweep_scenarios_reference(&grid, &scalar_arm());
         let columnar = sweep_scenarios(&grid, &columnar_arm(chunk, threads));
         assert_bit_identical(&scalar, &columnar);
     }
@@ -190,7 +192,7 @@ proptest! {
         chunk in 0usize..9,
         threads in 1usize..4,
     ) {
-        let scalar = sweep_scenarios(&grid, &scalar_arm());
+        let scalar = sweep_scenarios_reference(&grid, &scalar_arm());
         let columnar = sweep_scenarios(&grid, &columnar_arm(chunk, threads));
         assert_bit_identical(&scalar, &columnar);
     }
@@ -211,7 +213,7 @@ proptest! {
                 ..MannAccuracyMcScenario::default()
             })
             .collect();
-        let scalar = sweep_scenarios(&grid, &scalar_arm());
+        let scalar = sweep_scenarios_reference(&grid, &scalar_arm());
         let columnar = sweep_scenarios(&grid, &columnar_arm(chunk, 2));
         assert_bit_identical(&scalar, &columnar);
     }
@@ -224,7 +226,7 @@ proptest! {
         grid in proptest::collection::vec(hdc_point(), 1..8),
         chunk in 0usize..5,
     ) {
-        let scalar = sweep_scenarios(&grid, &scalar_arm());
+        let scalar = sweep_scenarios_reference(&grid, &scalar_arm());
         let columnar = sweep_scenarios(&grid, &columnar_arm(chunk, 2));
         for p in 0..scalar.points() {
             if scalar.point_status(p) != PointStatus::Ok {
@@ -273,7 +275,7 @@ proptest! {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let run = catch_unwind(AssertUnwindSafe(|| {
-            let scalar = sweep_scenarios(&grid, &scalar_arm());
+            let scalar = sweep_scenarios_reference(&grid, &scalar_arm());
             let columnar = sweep_scenarios(&grid, &columnar_arm(chunk, 2));
             (scalar, columnar)
         }));
@@ -292,20 +294,4 @@ proptest! {
         }
         assert_bit_identical(&scalar, &columnar);
     }
-}
-
-/// Deterministic spot check kept outside proptest: the builder default
-/// is the scalar path, so existing callers cannot silently change
-/// numerics by rebuilding against 0.3.0.
-#[test]
-fn columnar_stays_opt_in() {
-    assert_eq!(SweepOptions::default().columnar(), Columnar::Off);
-    assert_eq!(SweepOptions::builder().build().columnar(), Columnar::Off);
-    assert_eq!(
-        SweepOptions::builder()
-            .columnar(Columnar::Exact)
-            .build()
-            .columnar(),
-        Columnar::Exact
-    );
 }

@@ -54,7 +54,7 @@ pub enum PointStatus {
     DeadlineExceeded,
 }
 
-/// Columnar (structure-of-arrays) candidate storage for one sweep chunk
+/// Structure-of-arrays (columnar) candidate storage for one sweep chunk
 /// or one whole sweep.
 ///
 /// Rows ("lanes") are candidates; each input point owns the contiguous

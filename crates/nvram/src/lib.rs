@@ -251,64 +251,52 @@ impl RamArray {
     /// Returns [`RamError`] for degenerate configurations.
     pub fn auto_organize(config: &RamConfig, target: OptTarget) -> Result<Self, RamError> {
         let _span = xlda_obs::span!("nvram.auto_organize");
-        let (rows, cols) = RAM_ORG.get_or_insert_with(
-            (
-                config.capacity_bits,
-                config.word_bits,
-                config.cell,
-                target,
-                config.tech.memo_key(),
-            ),
-            || Self::auto_organize_uncached(config, target).map(|ram| (ram.sub_rows, ram.sub_cols)),
-        )?;
-        Self::with_subarray(config, rows, cols)
+        Self::organize(config, target, Self::report)
     }
 
-    fn auto_organize_uncached(config: &RamConfig, target: OptTarget) -> Result<Self, RamError> {
-        Self::search_geometry(config, target, Self::report).map(|(ram, _)| ram)
-    }
-
-    /// The 36-geometry search behind both [`RamArray::auto_organize`]
-    /// and [`RamBatchSolver::auto_organize_report`]: subarray sides are
-    /// powers of two in 128..=4096, a geometry holding more than 4x the
-    /// capacity is skipped, the first geometry with the strictly lowest
-    /// `target` score wins, and 128x128 is the fallback when every
-    /// geometry is skipped. `report` scores one candidate; it is the
-    /// only thing the two callers do differently.
-    fn search_geometry(
+    /// The one organization decision behind [`RamArray::auto_organize`]
+    /// and [`RamBatchSolver::auto_organize_report`], memoized under
+    /// `RAM_ORG`. `report` scores one candidate; it is the only thing
+    /// the two callers do differently. A miss (or memo off) searches
+    /// subarray sides that are powers of two in 128..=4096, skips a
+    /// geometry holding more than 4x the capacity, keeps the first
+    /// geometry with the strictly lowest `target` score, and falls back
+    /// to 128x128 when every geometry is skipped.
+    fn organize(
         config: &RamConfig,
         target: OptTarget,
         mut report: impl FnMut(&RamArray) -> RamReport,
-    ) -> Result<(RamArray, RamReport), RamError> {
-        let mut best: Option<(f64, RamArray, RamReport)> = None;
-        for shift_r in 7..=12 {
-            for shift_c in 7..=12 {
-                let rows = 1usize << shift_r;
-                let cols = 1usize << shift_c;
-                if (rows * cols) as u64 > config.capacity_bits.max(1) * 4 {
-                    continue;
-                }
-                let ram = Self::with_subarray(config, rows, cols)?;
-                let rep = report(&ram);
-                let score = match target {
-                    OptTarget::ReadLatency => rep.read_latency_s,
-                    OptTarget::ReadEnergy => rep.read_energy_j,
-                    OptTarget::Area => rep.area_mm2,
-                    OptTarget::ReadEdp => rep.read_latency_s * rep.read_energy_j,
-                };
-                if best.as_ref().is_none_or(|(s, ..)| score < *s) {
-                    best = Some((score, ram, rep));
+    ) -> Result<Self, RamError> {
+        let key = (
+            config.capacity_bits,
+            config.word_bits,
+            config.cell,
+            target,
+            config.tech.memo_key(),
+        );
+        let (rows, cols) = RAM_ORG.get_or_insert_with(key, || {
+            let mut best: Option<(f64, (usize, usize))> = None;
+            for shift_r in 7..=12 {
+                for shift_c in 7..=12 {
+                    let (rows, cols) = (1usize << shift_r, 1usize << shift_c);
+                    if (rows * cols) as u64 > config.capacity_bits.max(1) * 4 {
+                        continue;
+                    }
+                    let rep = report(&Self::with_subarray(config, rows, cols)?);
+                    let score = match target {
+                        OptTarget::ReadLatency => rep.read_latency_s,
+                        OptTarget::ReadEnergy => rep.read_energy_j,
+                        OptTarget::Area => rep.area_mm2,
+                        OptTarget::ReadEdp => rep.read_latency_s * rep.read_energy_j,
+                    };
+                    if best.is_none_or(|(s, _)| score < s) {
+                        best = Some((score, (rows, cols)));
+                    }
                 }
             }
-        }
-        match best {
-            Some((_, ram, rep)) => Ok((ram, rep)),
-            None => {
-                let ram = Self::with_subarray(config, 128, 128)?;
-                let rep = report(&ram);
-                Ok((ram, rep))
-            }
-        }
+            Ok(best.map_or((128, 128), |(_, geometry)| geometry))
+        })?;
+        Self::with_subarray(config, rows, cols)
     }
 
     /// The configuration being modeled.
@@ -488,9 +476,9 @@ impl RamBatchSolver {
     }
 
     /// Batch equivalent of `RamArray::auto_organize(config, target)?
-    /// .report()`: runs the identical geometry search (same candidate
-    /// set, same skip rule, same strict-`<` tie-break) with the
-    /// sub-solves cached, returning the winning report directly.
+    /// .report()`: the same memoized decision and geometry search (same
+    /// candidate set, skip rule and strict-`<` tie-break), with every
+    /// report composed from cached sub-solves.
     ///
     /// # Errors
     ///
@@ -502,7 +490,8 @@ impl RamBatchSolver {
         target: OptTarget,
     ) -> Result<RamReport, RamError> {
         let _span = xlda_obs::span!("nvram.auto_organize");
-        RamArray::search_geometry(config, target, |ram| self.report_for(ram)).map(|(_, rep)| rep)
+        let ram = RamArray::organize(config, target, |ram| self.report_for(ram))?;
+        Ok(self.report_for(&ram))
     }
 }
 

@@ -1,11 +1,10 @@
 //! Minimal JSON value, parser, and emitter.
 //!
 //! The workspace builds offline with no serialization crate, so the
-//! wire format is hand-rolled (precedent: the `sweep_bench`
-//! micro-parser in `xlda-bench`). This is a full
-//! recursive-descent parser rather than a field scanner because the
-//! service must reject malformed requests with a useful error instead
-//! of misreading them.
+//! wire format is hand-rolled. This is a full recursive-descent parser
+//! rather than a field scanner because the service must reject
+//! malformed requests with a useful error instead of misreading them;
+//! the `xlda-bench` gates read their baselines and reports with it too.
 //!
 //! Numbers are `f64` throughout. Emission uses Rust's `{}` formatting,
 //! which prints the shortest decimal that round-trips to the same bits;
