@@ -484,7 +484,6 @@ fn measure_cold_once<S: Scenario>(
         elapsed,
         caches,
         layers: Vec::new(),
-        slowest: Vec::new(),
     };
     run_stats(&stats, fold_batch(&batch, fields))
 }

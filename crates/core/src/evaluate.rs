@@ -168,7 +168,7 @@ pub trait Scenario: Send + Sync {
 }
 
 /// Boxed scenarios (the serving layer's batching currency) delegate the
-/// whole trait, so `ResultStore::sweep` and `successive_halving` accept
+/// whole trait, so `successive_halving` and the sweep engine accept
 /// `&[Box<dyn Scenario>]` directly.
 impl<T: Scenario + ?Sized> Scenario for Box<T> {
     fn kind(&self) -> &'static str {

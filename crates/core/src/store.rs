@@ -22,14 +22,12 @@
 //!   bit-exactly (`to_bits`/`from_bits`), so a stored result is
 //!   indistinguishable from a recomputed one — pinned by
 //!   `tests/store_transparency.rs`.
-//! - [`ResultStore::sweep`] — the sweep-engine integration: a
-//!   `par_try_map` whose evaluator consults the store before
-//!   evaluating and appends every fresh result.
 //! - [`successive_halving`] — incremental DSE on top of the store:
 //!   rank a grid by evaluating a strided fraction first, then refine
 //!   around the survivors, halving the stride each round. Exact for
 //!   every point it touches because misses fall through to the normal
-//!   engine.
+//!   engine. [`rank_evaluated`] is its final ranking, shared with any
+//!   other caller that resolves a grid through the engine.
 //!
 //! # Invalidation
 //!
@@ -55,6 +53,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once, RwLock};
+use std::time::Instant;
 
 use crate::error::XldaError;
 use crate::evaluate::{Evaluation, Scenario};
@@ -738,17 +737,6 @@ impl ResultStore {
         Ok(eval)
     }
 
-    /// Sweeps `scenarios` on the parallel engine with the store
-    /// consulted before every evaluation (`par_try_map` + per-point
-    /// containment semantics).
-    pub fn sweep<S: Scenario + Sync>(
-        &self,
-        scenarios: &[S],
-        opts: &SweepOptions,
-    ) -> Vec<Result<Evaluation, PointFailure<XldaError>>> {
-        par_try_map_with(scenarios, |s| self.evaluate_cached(s), opts)
-    }
-
     /// Current counters.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
@@ -847,29 +835,59 @@ impl Default for HalvingConfig {
     }
 }
 
-/// One evaluated, scored grid point in a halving outcome.
+/// One evaluated, scored grid point, as [`rank_evaluated`] ranks it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HalvingRanked {
     /// Index into the input grid.
     pub index: usize,
-    /// Best candidate's name at this point (empty when the point
-    /// failed to evaluate).
+    /// Best candidate's name at this point.
     pub name: String,
-    /// Best candidate's objective score (NaN when the point failed).
+    /// Best candidate's objective score.
     pub score: f64,
 }
 
 /// What [`successive_halving`] evaluated and concluded.
 #[derive(Debug)]
 pub struct HalvingOutcome {
-    /// Evaluated points, best first (failed points rank last).
+    /// The successfully evaluated points, best first
+    /// ([`rank_evaluated`]); failed, deadline-skipped and pruned points
+    /// are not ranked.
     pub ranking: Vec<HalvingRanked>,
     /// Per-grid-index results; `None` = never evaluated (pruned).
+    /// Points the deadline cut off hold
+    /// `Err(PointFailure::DeadlineExceeded)`.
     pub results: Vec<Option<Result<Evaluation, PointFailure<XldaError>>>>,
-    /// Points actually evaluated (store hits included).
+    /// Points actually evaluated (store hits and failures included,
+    /// deadline-skipped points not).
     pub evaluated: usize,
     /// Total grid size.
     pub grid: usize,
+}
+
+/// Ranks the successfully evaluated points of a resolved grid (`None` =
+/// never evaluated, otherwise the point's engine result) by their best
+/// candidate under `objective`, best first, ties broken by grid index.
+/// Failed, deadline-skipped and unevaluated points, and points with no
+/// candidates, are left out.
+pub fn rank_evaluated(
+    results: &[Option<Result<Evaluation, PointFailure<XldaError>>>],
+    objective: &Objective,
+) -> Vec<HalvingRanked> {
+    let mut ranking: Vec<HalvingRanked> = results
+        .iter()
+        .enumerate()
+        .filter_map(|(index, r)| {
+            let ev = r.as_ref()?.as_ref().ok()?;
+            let best = rank(&ev.candidates, objective).into_iter().next()?;
+            Some(HalvingRanked {
+                index,
+                name: best.name,
+                score: best.score,
+            })
+        })
+        .collect();
+    ranking.sort_by(|a, b| desc_nan_last(a.score, b.score).then_with(|| a.index.cmp(&b.index)));
+    ranking
 }
 
 /// Ranks a scenario grid by evaluating a strided fraction first, then
@@ -879,12 +897,18 @@ pub struct HalvingOutcome {
 /// so the returned scores are true scores; only *pruned* points are
 /// approximate in the sense of never being scored. With a store warmed
 /// by a prior full sweep, the whole procedure is pure lookups.
+///
+/// [`SweepOptions::deadline`] is one budget for the whole procedure,
+/// measured from this call: each round gets what is left of it, and
+/// points not started before it expires are reported as
+/// [`PointFailure::DeadlineExceeded`].
 pub fn successive_halving<S: Scenario + Sync>(
     store: &ResultStore,
     scenarios: &[S],
     opts: &SweepOptions,
     config: &HalvingConfig,
 ) -> HalvingOutcome {
+    let expires_at = opts.deadline.map(|d| Instant::now() + d);
     let n = scenarios.len();
     let mut results: Vec<Option<Result<Evaluation, PointFailure<XldaError>>>> =
         (0..n).map(|_| None).collect();
@@ -919,7 +943,11 @@ pub fn successive_halving<S: Scenario + Sync>(
             .collect();
         if !todo.is_empty() {
             let batch: Vec<&S> = todo.iter().map(|&i| &scenarios[i]).collect();
-            let outs = par_try_map_with(&batch, |s| store.evaluate_cached(*s), opts);
+            let round = SweepOptions {
+                deadline: expires_at.map(|t| t.saturating_duration_since(Instant::now())),
+                ..*opts
+            };
+            let outs = par_try_map_with(&batch, |s| store.evaluate_cached(*s), &round);
             for (&i, out) in todo.iter().zip(outs) {
                 results[i] = Some(out);
             }
@@ -950,30 +978,13 @@ pub fn successive_halving<S: Scenario + Sync>(
         next.sort_unstable();
         frontier = next;
     }
-    let mut ranking: Vec<HalvingRanked> = results
+    let evaluated = results
         .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.as_ref().map(|r| (i, r)))
-        .map(|(index, r)| match r {
-            Ok(ev) => {
-                let best = rank(&ev.candidates, &config.objective);
-                HalvingRanked {
-                    index,
-                    name: best.first().map(|b| b.name.clone()).unwrap_or_default(),
-                    score: best.first().map_or(f64::NAN, |b| b.score),
-                }
-            }
-            Err(_) => HalvingRanked {
-                index,
-                name: String::new(),
-                score: f64::NAN,
-            },
-        })
-        .collect();
-    let evaluated = ranking.len();
-    ranking.sort_by(|a, b| desc_nan_last(a.score, b.score).then_with(|| a.index.cmp(&b.index)));
+        .flatten()
+        .filter(|r| !matches!(r, Err(PointFailure::DeadlineExceeded)))
+        .count();
     HalvingOutcome {
-        ranking,
+        ranking: rank_evaluated(&results, &config.objective),
         results,
         evaluated,
         grid: n,
@@ -984,6 +995,8 @@ pub fn successive_halving<S: Scenario + Sync>(
 mod tests {
     use super::*;
     use crate::evaluate::HdcScenario;
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -1104,5 +1117,59 @@ mod tests {
             again.ranking.first().map(|r| r.index),
             out.ranking.first().map(|r| r.index)
         );
+    }
+
+    /// Evaluation starts of [`Sleepy`] points.
+    static SLEEPY_STARTS: AtomicUsize = AtomicUsize::new(0);
+
+    /// A grid point that sleeps 10 ms per evaluation; its latency is its
+    /// grid index, so lower indices rank first.
+    struct Sleepy(usize);
+
+    impl Scenario for Sleepy {
+        fn kind(&self) -> &'static str {
+            "sleepy"
+        }
+
+        fn candidates(&self) -> Result<Vec<Candidate>, XldaError> {
+            SLEEPY_STARTS.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(10));
+            Ok(vec![Candidate {
+                name: format!("p{}", self.0),
+                fom: Fom {
+                    latency_s: 1.0 + self.0 as f64,
+                    energy_j: 1.0,
+                    area_mm2: 1.0,
+                    accuracy: 0.9,
+                },
+            }])
+        }
+    }
+
+    #[test]
+    fn halving_spends_one_deadline_across_rounds() {
+        let grid: Vec<Sleepy> = (0..32).map(Sleepy).collect();
+        let opts = SweepOptions::builder()
+            .threads(1)
+            .deadline(Duration::from_millis(40))
+            .build();
+        let out = successive_halving(
+            &ResultStore::in_memory(),
+            &grid,
+            &opts,
+            &HalvingConfig::default(),
+        );
+        // One worker, >= 10 ms a point: a single 40 ms budget admits at
+        // most four point starts. The first round alone holds eight
+        // points, so a fresh budget per round would admit more.
+        assert!(out.evaluated <= 4, "evaluated {}", out.evaluated);
+        assert_eq!(SLEEPY_STARTS.load(Ordering::SeqCst), out.evaluated);
+        assert!(out
+            .results
+            .iter()
+            .flatten()
+            .any(|r| matches!(r, Err(PointFailure::DeadlineExceeded))));
+        // Skipped points are neither ranked nor counted.
+        assert_eq!(out.ranking.len(), out.evaluated);
     }
 }

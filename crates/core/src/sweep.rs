@@ -16,9 +16,8 @@
 //!   (re-exported here from `xlda_num`), and sweeps report their hit
 //!   rates;
 //! - **observability** ([`SweepStats`], [`sweep_with_stats`]): points/sec,
-//!   per-cache hit rates, a per-layer *self-time* breakdown built on
-//!   `xlda_obs` spans (enable with [`xlda_obs::span::set_enabled`]), and
-//!   top-K slow-point capture with full span trees when tracing is on.
+//!   per-cache hit rates, and a per-layer *self-time* breakdown built on
+//!   `xlda_obs` spans (enable with [`xlda_obs::span::set_enabled`]).
 //!
 //! Output order is always input order, independent of chunking and
 //! thread count: the engine tracks chunk indices and reassembles results
@@ -26,13 +25,11 @@
 
 use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 pub use xlda_num::memo;
 pub use xlda_num::memo::{CacheSnapshot, ShardedCache};
 pub use xlda_obs::span::SpanAgg;
-pub use xlda_obs::trace::SpanEvent;
 
 /// Target number of work-unit steals per worker when `chunk == 0`: the
 /// auto chunk is sized as `points / (threads * TARGET_STEALS_PER_WORKER)`
@@ -122,9 +119,10 @@ impl SweepOptions {
     /// when the budget expires yield
     /// [`PointFailure::DeadlineExceeded`] instead of being evaluated.
     /// `xlda_core::evaluate::sweep_scenarios` checks at chunk (not
-    /// point) granularity. The infallible paths ignore it (a skipped
-    /// point has no representable outcome there). `None` (the default)
-    /// never expires.
+    /// point) granularity, and `xlda_core::store::successive_halving`
+    /// spends one budget across all of its rounds. The infallible paths
+    /// ignore it (a skipped point has no representable outcome there).
+    /// `None` (the default) never expires.
     pub fn deadline(&self) -> Option<Duration> {
         self.deadline
     }
@@ -337,6 +335,37 @@ impl<E: std::fmt::Display> std::fmt::Display for PointFailure<E> {
 
 impl<E: std::fmt::Debug + std::fmt::Display> std::error::Error for PointFailure<E> {}
 
+/// The per-point containment boundary every fallible sweep runs each
+/// point under: a point whose evaluation has not started by `expires_at`
+/// is skipped as [`PointFailure::DeadlineExceeded`]; otherwise `f` runs,
+/// a typed error becomes [`PointFailure::Error`] and a panic is caught
+/// as [`PointFailure::Panicked`] with its payload message.
+///
+/// # Examples
+///
+/// ```
+/// use xlda_core::sweep::{try_point, PointFailure};
+///
+/// assert_eq!(try_point(None, || Ok::<_, &str>(7)), Ok(7));
+/// let bad = try_point(None, || Err::<u8, _>("infeasible"));
+/// assert_eq!(bad, Err(PointFailure::Error("infeasible")));
+/// let boom = try_point(None, || -> Result<u8, &str> { panic!("model bug") });
+/// assert_eq!(boom, Err(PointFailure::Panicked("model bug".into())));
+/// ```
+pub fn try_point<O, E>(
+    expires_at: Option<Instant>,
+    f: impl FnOnce() -> Result<O, E>,
+) -> Result<O, PointFailure<E>> {
+    if expires_at.is_some_and(|t| Instant::now() >= t) {
+        return Err(PointFailure::DeadlineExceeded);
+    }
+    // Evaluators are pure over shared borrows, so unwind safety reduces
+    // to not observing half-updated state, which a shared borrow cannot.
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .map_err(|p| PointFailure::Panicked(panic_message(p)))?
+        .map_err(PointFailure::Error)
+}
+
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -399,21 +428,7 @@ where
     F: Fn(&I) -> Result<O, E> + Sync,
 {
     let expires_at = opts.deadline.map(|d| Instant::now() + d);
-    dispatch(
-        inputs,
-        |input| {
-            if expires_at.is_some_and(|t| Instant::now() >= t) {
-                return Err(PointFailure::DeadlineExceeded);
-            }
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(input)))
-                .map_err(panic_message)
-                .map_or_else(
-                    |msg| Err(PointFailure::Panicked(msg)),
-                    |r| r.map_err(PointFailure::Error),
-                )
-        },
-        opts,
-    )
+    dispatch(inputs, |input| try_point(expires_at, || f(input)), opts)
 }
 
 /// Chunk-granular work-stealing dispatch for columnar batch kernels.
@@ -450,29 +465,9 @@ where
 // Observability: per-sweep stats on top of xlda_obs spans.
 // ---------------------------------------------------------------------------
 
-/// How many of the slowest points a stats sweep keeps span trees for.
-pub const SLOW_POINTS_CAPTURED: usize = 8;
-
-/// One of the slowest points of a sweep, captured by [`sweep_with_stats`]
-/// when span collection is enabled.
-#[derive(Debug, Clone)]
-pub struct SlowPoint {
-    /// Index of the point in the sweep's input slice.
-    pub index: usize,
-    /// Wall time of this point's evaluation.
-    pub elapsed: Duration,
-    /// Caller-supplied label (scenario kind, candidate name, ... — empty
-    /// for [`sweep_with_stats`], see [`sweep_with_stats_labeled`]).
-    pub label: String,
-    /// The point's span tree: every span finished on the worker thread
-    /// during this point's evaluation. Empty unless trace capture
-    /// ([`xlda_obs::trace::start`]) was also active.
-    pub spans: Vec<SpanEvent>,
-}
-
-/// Observability record of one sweep: throughput, memo-cache activity,
-/// a per-layer span breakdown, and the slowest points, all measured over
-/// just that sweep (global accumulators are diffed before/after).
+/// Observability record of one sweep: throughput, memo-cache activity
+/// and a per-layer span breakdown, all measured over just that sweep
+/// (global accumulators are diffed before/after).
 #[derive(Debug, Clone)]
 pub struct SweepStats {
     /// Number of design points evaluated.
@@ -488,9 +483,6 @@ pub struct SweepStats {
     /// the engine's own `"sweep.point"` root span makes the partition
     /// cover (almost) the whole sweep.
     pub layers: Vec<SpanAgg>,
-    /// The up-to-[`SLOW_POINTS_CAPTURED`] slowest points, slowest first
-    /// (empty unless span collection is enabled).
-    pub slowest: Vec<SlowPoint>,
 }
 
 impl SweepStats {
@@ -554,99 +546,27 @@ pub fn diff_caches(before: &[CacheSnapshot], after: Vec<CacheSnapshot>) -> Vec<C
         .collect()
 }
 
-/// Bounded keep-the-slowest collector; entries stay sorted slowest-first.
-struct TopSlow {
-    points: Vec<SlowPoint>,
-    cap: usize,
-}
-
-impl TopSlow {
-    fn new(cap: usize) -> Self {
-        TopSlow {
-            points: Vec::with_capacity(cap + 1),
-            cap,
-        }
-    }
-
-    fn admits(&self, elapsed: Duration) -> bool {
-        self.points.len() < self.cap || self.points.last().is_some_and(|p| elapsed > p.elapsed)
-    }
-
-    fn push(&mut self, p: SlowPoint) {
-        let at = self.points.partition_point(|q| q.elapsed >= p.elapsed);
-        self.points.insert(at, p);
-        self.points.truncate(self.cap);
-    }
-}
-
 /// Runs [`par_map_with`] and measures it: wall time, throughput,
-/// memo-cache deltas, the per-span layer breakdown, and (when spans are
-/// enabled) the slowest points. Equivalent to
-/// [`sweep_with_stats_labeled`] with empty labels.
+/// memo-cache deltas and the per-span layer breakdown.
+///
+/// When span collection is enabled ([`xlda_obs::span::set_enabled`]),
+/// every point runs under a `"sweep.point"` root span, so the layer
+/// breakdown telescopes to the sweep's instrumented wall time. With
+/// spans disabled the per-point cost is one relaxed atomic load.
 pub fn sweep_with_stats<I, O, F>(inputs: &[I], f: F, opts: &SweepOptions) -> (Vec<O>, SweepStats)
 where
     I: Sync,
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    sweep_with_stats_labeled(inputs, f, |_| String::new(), opts)
-}
-
-/// [`sweep_with_stats`] with a per-point label (scenario kind, candidate
-/// name, ...) recorded on captured slow points.
-///
-/// When span collection is enabled ([`xlda_obs::span::set_enabled`]),
-/// every point runs under a `"sweep.point"` root span and the engine
-/// keeps the [`SLOW_POINTS_CAPTURED`] slowest points; if trace capture
-/// ([`xlda_obs::trace::start`]) is also active, each captured point
-/// carries the span events recorded on its worker thread during its
-/// evaluation. With spans disabled the closure runs bare — the only
-/// per-point cost is one relaxed atomic load.
-pub fn sweep_with_stats_labeled<I, O, F, L>(
-    inputs: &[I],
-    f: F,
-    label: L,
-    opts: &SweepOptions,
-) -> (Vec<O>, SweepStats)
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-    L: Fn(usize) -> String + Sync,
-{
     let caches_before = memo::snapshot();
     let spans_before = xlda_obs::span::aggregate_snapshot();
-    let slow = Mutex::new(TopSlow::new(SLOW_POINTS_CAPTURED));
-    let indices: Vec<usize> = (0..inputs.len()).collect();
     let start = Instant::now();
     let out = par_map_with(
-        &indices,
-        |&i| {
-            if !xlda_obs::span::enabled() {
-                return f(&inputs[i]);
-            }
-            let mark = xlda_obs::trace::thread_watermark();
-            let t0 = Instant::now();
-            let o = {
-                let _point = xlda_obs::span!("sweep.point");
-                f(&inputs[i])
-            };
-            let elapsed = t0.elapsed();
-            let mut slow = slow.lock().unwrap_or_else(|e| e.into_inner());
-            if slow.admits(elapsed) {
-                let spans = if xlda_obs::trace::active() {
-                    xlda_obs::trace::thread_events_since(mark)
-                } else {
-                    Vec::new()
-                };
-                slow.push(SlowPoint {
-                    index: i,
-                    elapsed,
-                    label: label(i),
-                    spans,
-                });
-            }
-            o
+        inputs,
+        |input| {
+            let _point = xlda_obs::span!("sweep.point");
+            f(input)
         },
         opts,
     );
@@ -659,7 +579,6 @@ where
             &spans_before,
             &xlda_obs::span::aggregate_snapshot(),
         ),
-        slowest: slow.into_inner().unwrap_or_else(|e| e.into_inner()).points,
     };
     (out, stats)
 }
@@ -668,6 +587,7 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
     use xlda_num::memo_cache;
 
     #[test]
@@ -900,29 +820,17 @@ mod tests {
     fn sweep_stats_layer_breakdown_from_spans() {
         let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let inputs: Vec<u64> = (0..64).collect();
+        let layer = |&x: &u64| {
+            let _s = xlda_obs::span!("core.test_layer");
+            std::hint::black_box(x * 3)
+        };
 
-        // Spans disabled: no breakdown, no slow points.
-        let (_, stats) = sweep_with_stats(
-            &inputs,
-            |&x| {
-                let _s = xlda_obs::span!("core.test_layer");
-                std::hint::black_box(x * 3)
-            },
-            &SweepOptions::default(),
-        );
+        // Spans disabled: no breakdown.
+        let (_, stats) = sweep_with_stats(&inputs, layer, &SweepOptions::default());
         assert!(stats.layers.iter().all(|l| l.name != "core.test_layer"));
-        assert!(stats.slowest.is_empty());
 
         xlda_obs::span::set_enabled(true);
-        let (_, stats) = sweep_with_stats_labeled(
-            &inputs,
-            |&x| {
-                let _s = xlda_obs::span!("core.test_layer");
-                std::hint::black_box(x * 3)
-            },
-            |i| format!("point-{i}"),
-            &SweepOptions::default(),
-        );
+        let (_, stats) = sweep_with_stats(&inputs, layer, &SweepOptions::default());
         xlda_obs::span::set_enabled(false);
 
         let layer = stats
@@ -939,47 +847,6 @@ mod tests {
         assert!(root.calls >= 64);
         // The root span's total covers its children.
         assert!(root.total_nanos >= layer.total_nanos);
-
-        assert!(!stats.slowest.is_empty());
-        assert!(stats.slowest.len() <= SLOW_POINTS_CAPTURED);
-        // Slowest-first ordering and labels wired through.
-        for w in stats.slowest.windows(2) {
-            assert!(w[0].elapsed >= w[1].elapsed);
-        }
-        for p in &stats.slowest {
-            assert_eq!(p.label, format!("point-{}", p.index));
-            // No trace capture was started, so no span trees.
-            assert!(p.spans.is_empty());
-        }
-    }
-
-    #[test]
-    fn slow_points_carry_span_trees_when_tracing() {
-        let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let inputs: Vec<u64> = (0..16).collect();
-        xlda_obs::trace::start();
-        xlda_obs::span::set_enabled(true);
-        let (_, stats) = sweep_with_stats(
-            &inputs,
-            |&x| {
-                let _s = xlda_obs::span!("core.test_traced_layer");
-                std::hint::black_box(x + 1)
-            },
-            &SweepOptions::default(),
-        );
-        xlda_obs::span::set_enabled(false);
-        xlda_obs::trace::stop();
-
-        assert!(!stats.slowest.is_empty());
-        for p in &stats.slowest {
-            assert!(
-                p.spans.iter().any(|e| e.name == "sweep.point"),
-                "point {} captured {:?}",
-                p.index,
-                p.spans
-            );
-            assert!(p.spans.iter().any(|e| e.name == "core.test_traced_layer"));
-        }
     }
 
     #[test]

@@ -180,16 +180,6 @@ impl SpanGuard {
         Self::enter_stat(site.get_or_init(|| register_site(name)))
     }
 
-    /// Enter a span by name, paying a registry lookup per call. Exists for
-    /// the deprecated `layer_timed` shim; new code should use `span!`.
-    #[inline]
-    pub fn enter_named(name: &'static str) -> SpanGuard {
-        if !enabled() {
-            return SpanGuard { inner: None };
-        }
-        Self::enter_stat(register_site(name))
-    }
-
     fn enter_stat(stat: &'static SpanStat) -> SpanGuard {
         let depth = STACK.with(|s| {
             let d = s.depth.get();

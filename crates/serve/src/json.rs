@@ -86,13 +86,14 @@ impl Json {
     /// Parses one JSON document, requiring it to span the whole input.
     pub fn parse(input: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
-            bytes: input.as_bytes(),
+            src: input,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.src.len() {
             return Err(p.err("trailing characters after JSON value"));
         }
         Ok(v)
@@ -116,9 +117,18 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let one small
+/// frame of `[[[[…` overflow the parsing thread's stack; requests nest a
+/// few levels at most.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    /// The input; `pos` always sits on a char boundary of it.
+    src: &'a str,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -130,7 +140,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -149,7 +159,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -163,12 +173,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object a nesting level down, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than the JSON depth limit"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, ParseError> {
@@ -179,9 +204,8 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number bytes"))?;
-        text.parse::<f64>()
+        self.src[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
     }
@@ -232,10 +256,13 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Copy a whole UTF-8 sequence through unchanged.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let ch = rest.chars().next().expect("peeked non-empty");
+                    // Copy a whole UTF-8 sequence through unchanged; the
+                    // input is a `str`, so no re-validation is needed.
+                    let ch = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
                     if (ch as u32) < 0x20 {
                         return Err(self.err("unescaped control character"));
                     }
@@ -247,12 +274,15 @@ impl<'a> Parser<'a> {
     }
 
     fn hex4(&mut self) -> Result<u32, ParseError> {
-        if self.pos + 4 > self.bytes.len() {
+        if self.pos + 4 > self.src.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(text, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        // `get`, not indexing: four bytes on may split a multi-byte char.
+        let v = self
+            .src
+            .get(self.pos..self.pos + 4)
+            .and_then(|text| u32::from_str_radix(text, 16).ok())
+            .ok_or_else(|| self.err("invalid \\u escape"))?;
         self.pos += 4;
         Ok(v)
     }
@@ -429,6 +459,11 @@ mod tests {
     }
 
     #[test]
+    fn unicode_escape_cut_by_a_multibyte_char_is_an_error() {
+        assert!(Json::parse("\"\\u00é\"").is_err());
+    }
+
+    #[test]
     fn surrogate_pair_escape() {
         assert_eq!(
             Json::parse("\"\\ud83d\\ude00\"").unwrap().as_str(),
@@ -442,5 +477,33 @@ mod tests {
         assert_eq!(Json::Num(42.0).as_usize(), Some(42));
         assert_eq!(Json::Num(42.5).as_usize(), None);
         assert_eq!(Json::Num(-1.0).as_usize(), None);
+    }
+
+    #[test]
+    fn nesting_beyond_the_cap_is_a_parse_error() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = Json::parse(&deep).expect_err("one level past the cap");
+        assert!(err.message.contains("depth"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 512 KiB of mixed one- and two-byte chars: re-validating the
+        // rest of the frame per char would take seconds here.
+        let body = "abcé".repeat(512 * 1024 / 5);
+        let frame = format!("\"{body}\"");
+        let t0 = std::time::Instant::now();
+        let v = Json::parse(&frame).expect("valid string");
+        let took = t0.elapsed();
+        assert_eq!(v.as_str(), Some(body.as_str()));
+        assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
     }
 }

@@ -916,4 +916,16 @@ mod tests {
         assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(v.get("retry_after_ms").and_then(Json::as_f64), Some(2.0));
     }
+
+    #[test]
+    fn deeply_nested_frame_is_a_bad_request_not_a_stack_overflow() {
+        let depth = 100_000;
+        let frame = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let Err((id, msg)) = parse_request(&frame) else {
+            panic!("accepted a {depth}-deep frame");
+        };
+        assert_eq!(id, "");
+        assert!(msg.starts_with("malformed JSON"), "{msg}");
+        assert!(msg.contains("depth"), "{msg}");
+    }
 }

@@ -25,10 +25,12 @@
 //!   fixed 2 ms window put a ~250x sleep tax on 9 µs evaluations;
 //!   `batch_window` survives only as an artificial pre-drain delay for
 //!   saturation tests, default zero.)
-//! - **Containment.** Each job evaluates under per-job panic/error
-//!   containment; a panicking or infeasible scenario fails its own
-//!   request only. Per-request deadlines are checked at evaluation
-//!   start inside the same boundary.
+//! - **Containment.** Every evaluation runs inside the sweep engine's
+//!   per-point boundary (`xlda_core::sweep::try_point`, directly for
+//!   single evaluations and through the engine for `refine` grids); a
+//!   panicking or infeasible scenario fails its own request or grid
+//!   point only. A request's deadline is checked when its job starts,
+//!   and a `refine` grid spends what is left of it as one budget.
 //! - **Drain.** `shutdown` (or stdin EOF in `--stdio` mode) stops
 //!   admission; workers finish everything already queued and the event
 //!   loop flushes every pending response before the server returns —
@@ -44,9 +46,9 @@ use std::time::{Duration, Instant};
 use crate::access_log::{self, AccessLog};
 use crate::json::{obj, Json};
 use crate::protocol::{self, RefineMode, RefineSpec, Request, TriageSpec};
-use xlda_core::evaluate::{Evaluation, Scenario};
-use xlda_core::store::{successive_halving, HalvingConfig, ResultStore};
-use xlda_core::sweep::{memo, SweepOptions};
+use xlda_core::evaluate::Scenario;
+use xlda_core::store::{rank_evaluated, successive_halving, HalvingConfig, ResultStore};
+use xlda_core::sweep::{memo, par_try_map_with, try_point, PointFailure, SweepOptions};
 use xlda_core::triage::{rank, Objective};
 use xlda_core::XldaError;
 use xlda_obs::flight::{self, FlightRecorder, RequestTrace};
@@ -134,12 +136,6 @@ struct Job {
     /// log is enabled. `Arc` because the event loop and a worker can
     /// both hold it across the queue handoff.
     trace: Option<Arc<RequestTrace>>,
-}
-
-/// Why a job failed.
-enum JobError {
-    Eval(XldaError),
-    Panicked(String),
 }
 
 /// Lock-free per-instance instruments behind the `stats` and `metrics`
@@ -732,15 +728,6 @@ fn trial_count(d: &xlda_core::mc::McDistribution) -> u64 {
     (d.summary.trials + d.summary.nan_count) as u64
 }
 
-/// Extracts a printable panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "opaque panic payload".to_string())
-}
-
 /// Evaluates one drained batch and writes every response.
 fn run_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
     for job in batch {
@@ -748,7 +735,9 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
     }
 }
 
-/// Runs one job under per-job containment and sends its response.
+/// Runs one job under per-job containment, sends its response, and
+/// does the job's bookkeeping: queue wait, compute time, cache
+/// attribution, completion latency and returned points.
 fn run_one(shared: &Arc<Shared>, job: Job) {
     let metrics = &shared.metrics;
     let eval_start = Instant::now();
@@ -771,31 +760,34 @@ fn run_one(shared: &Arc<Shared>, job: Job) {
     }
     let (line, outcome) = if deadline_at.is_some_and(|t| eval_start >= t) {
         metrics.deadline_expired.inc();
-        (
-            protocol::err_response(&id, "deadline", "deadline exceeded", None),
-            "deadline",
-        )
+        failure_response(&id, &PointFailure::DeadlineExceeded)
     } else {
-        match work {
-            Work::Eval { scenario, triage } => eval_response(
-                shared,
-                &id,
-                &*scenario,
-                triage.as_ref(),
-                enqueued_at,
-                eval_start,
-                trace.as_deref(),
+        let before = trace.as_ref().map(|_| cache_marks(shared));
+        let (kind, (line, outcome, points)) = match work {
+            Work::Eval { scenario, triage } => (
+                scenario.kind(),
+                eval_response(shared, &id, &*scenario, triage.as_ref()),
             ),
-            Work::Refine(spec) => refine_response(
-                shared,
-                &id,
-                spec,
-                deadline_at,
-                enqueued_at,
-                eval_start,
-                trace.as_deref(),
-            ),
+            Work::Refine(spec) => ("refine", refine_response(shared, &id, spec, deadline_at)),
+        };
+        metrics.compute.record_duration(eval_start.elapsed());
+        if let (Some(t), Some((mh0, mm0, sh0))) = (&trace, before) {
+            let (mh1, mm1, sh1) = cache_marks(shared);
+            t.set_cache(
+                mh1.saturating_sub(mh0),
+                mm1.saturating_sub(mm0),
+                sh1.saturating_sub(sh0),
+            );
         }
+        if outcome == "ok" {
+            metrics.observe_request(kind, &id, enqueued_at.elapsed());
+            metrics.completed.inc();
+            metrics.points.add(points);
+            if let Some(t) = &trace {
+                t.set_points(points);
+            }
+        }
+        (line, outcome)
     };
     if let Some(t) = &trace {
         t.mark(flight::Stage::Eval);
@@ -823,123 +815,104 @@ fn cache_marks(shared: &Shared) -> (u64, u64, u64) {
     (mh, mm, sh)
 }
 
-/// Evaluates one scenario and builds its response line plus the outcome
-/// code the flight recorder and access log attribute it under.
+/// The error response and outcome code of a job that produced no
+/// result.
+fn failure_response(id: &str, failure: &PointFailure<XldaError>) -> (String, &'static str) {
+    let (code, message) = match failure {
+        PointFailure::Error(e) if e.is_infeasible() => ("infeasible", e.to_string()),
+        PointFailure::Error(e) => ("invalid", e.to_string()),
+        PointFailure::Panicked(msg) => ("panic", format!("evaluation panicked: {msg}")),
+        PointFailure::DeadlineExceeded => ("deadline", "deadline exceeded".to_string()),
+    };
+    (protocol::err_response(id, code, &message, None), code)
+}
+
+/// Evaluates one scenario and builds its response line, the outcome
+/// code the flight recorder and access log attribute it under, and the
+/// number of candidates it returned.
 fn eval_response(
     shared: &Arc<Shared>,
     id: &str,
     scenario: &dyn Scenario,
     triage: Option<&TriageSpec>,
-    enqueued_at: Instant,
-    eval_start: Instant,
-    trace: Option<&RequestTrace>,
-) -> (String, &'static str) {
-    let metrics = &shared.metrics;
-    let before = trace.map(|_| cache_marks(shared));
+) -> (String, &'static str, u64) {
     // evaluate(), not candidates(): Monte-Carlo scenarios run their
     // trial population exactly once and return distribution digests
     // alongside the candidate view; deterministic scenarios fall
     // through the default impl at zero cost. With a store configured,
     // the digest lookup happens first and a hit skips the engine
     // entirely — bit-identical either way, so responses cannot tell.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &shared.store {
+    // The job's deadline was checked by `run_one` just before.
+    let result = try_point(None, || match &shared.store {
         Some(store) => store.evaluate_cached(scenario),
         None => scenario.evaluate(),
-    }))
-    .map_err(|p| JobError::Panicked(panic_message(p)))
-    .and_then(|r| r.map_err(JobError::Eval));
-    metrics.compute.record_duration(eval_start.elapsed());
-    if let (Some(t), Some((mh0, mm0, sh0))) = (trace, before) {
-        let (mh1, mm1, sh1) = cache_marks(shared);
-        t.set_cache(
-            mh1.saturating_sub(mh0),
-            mm1.saturating_sub(mm0),
-            sh1.saturating_sub(sh0),
-        );
-    }
-    match result {
-        Ok(eval) => {
-            let cands = eval.candidates;
-            metrics.observe_request(scenario.kind(), id, enqueued_at.elapsed());
-            metrics.completed.inc();
-            metrics.points.add(cands.len() as u64);
-            if let Some(t) = trace {
-                t.set_points(cands.len() as u64);
-            }
-            // Each digest summarizes the same request population, so
-            // take the max rather than summing across distributions.
-            metrics.mc_trials.add(
+    });
+    let eval = match result {
+        Ok(eval) => eval,
+        Err(failure) => {
+            let (line, outcome) = failure_response(id, &failure);
+            return (line, outcome, 0);
+        }
+    };
+    // Each digest summarizes the same request population, so take the
+    // max rather than summing across distributions.
+    shared.metrics.mc_trials.add(
+        eval.distributions
+            .iter()
+            .map(trial_count)
+            .max()
+            .unwrap_or(0),
+    );
+    let cands = eval.candidates;
+    let mut body = vec![(
+        "candidates",
+        Json::Arr(cands.iter().map(protocol::candidate_json).collect()),
+    )];
+    if !eval.distributions.is_empty() {
+        body.push((
+            "distributions",
+            Json::Arr(
                 eval.distributions
                     .iter()
-                    .map(trial_count)
-                    .max()
-                    .unwrap_or(0),
-            );
-            let mut body = vec![(
-                "candidates",
-                Json::Arr(cands.iter().map(protocol::candidate_json).collect()),
-            )];
-            if !eval.distributions.is_empty() {
-                body.push((
-                    "distributions",
-                    Json::Arr(
-                        eval.distributions
-                            .iter()
-                            .map(protocol::distribution_json)
-                            .collect(),
-                    ),
-                ));
-            }
-            if let Some(spec) = triage {
-                let ranking = rank(&cands, &spec.objective());
-                body.push((
-                    "ranking",
-                    Json::Arr(
-                        ranking
-                            .iter()
-                            .map(|r| {
-                                obj(vec![
-                                    ("name", Json::Str(r.name.clone())),
-                                    ("score", Json::Num(r.score)),
-                                    ("meets_floor", Json::Bool(r.meets_floor)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-            }
-            (protocol::ok_response(id, scenario.kind(), body), "ok")
-        }
-        Err(JobError::Eval(e)) => {
-            let code = if e.is_infeasible() {
-                "infeasible"
-            } else {
-                "invalid"
-            };
-            (protocol::err_response(id, code, &e.to_string(), None), code)
-        }
-        Err(JobError::Panicked(msg)) => (
-            protocol::err_response(id, "panic", &format!("evaluation panicked: {msg}"), None),
-            "panic",
-        ),
+                    .map(protocol::distribution_json)
+                    .collect(),
+            ),
+        ));
     }
+    if let Some(spec) = triage {
+        let ranking = rank(&cands, &spec.objective());
+        body.push((
+            "ranking",
+            Json::Arr(
+                ranking
+                    .iter()
+                    .map(|r| {
+                        obj(vec![
+                            ("name", Json::Str(r.name.clone())),
+                            ("score", Json::Num(r.score)),
+                            ("meets_floor", Json::Bool(r.meets_floor)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ));
+    }
+    let line = protocol::ok_response(id, scenario.kind(), body);
+    (line, "ok", cands.len() as u64)
 }
 
 /// Executes one `refine` job: resolves every grid point the client does
-/// not already hold, preferring store lookups over fresh evaluations.
-/// Misses fall through to the normal engine, so refine is exact — a
-/// cold store just makes it slower.
+/// not already hold through the sweep engine, preferring store lookups
+/// over fresh evaluations. Misses fall through to the normal engine, so
+/// refine is exact — a cold store just makes it slower. Both modes
+/// spend the request's remaining deadline as one budget; points it cuts
+/// off answer `"deadline"`, and a retry resumes from the store.
 fn refine_response(
     shared: &Arc<Shared>,
     id: &str,
     spec: RefineSpec,
     deadline_at: Option<Instant>,
-    enqueued_at: Instant,
-    eval_start: Instant,
-    trace: Option<&RequestTrace>,
-) -> (String, &'static str) {
-    let metrics = &shared.metrics;
-    let before = trace.map(|_| cache_marks(shared));
+) -> (String, &'static str, u64) {
     let store = match &shared.store {
         Some(s) => Arc::clone(s),
         // No configured store: refine still works, resolving through a
@@ -963,83 +936,48 @@ fn refine_response(
     // Snapshot which digests the store already held, so statuses can
     // distinguish a lookup ("cached") from fresh work ("evaluated").
     let pre_cached: Vec<bool> = digests.iter().map(|d| store.contains(d)).collect();
-    let mut statuses: Vec<&'static str> = vec!["pruned"; n];
-    let mut results: Vec<Option<Result<Evaluation, String>>> = (0..n).map(|_| None).collect();
-    let mut ranking: Vec<(usize, String, f64)> = Vec::new();
-    match mode {
+    let mut opts = SweepOptions::builder().threads(1);
+    if let Some(t) = deadline_at {
+        opts = opts.deadline(t.saturating_duration_since(Instant::now()));
+    }
+    let opts = opts.build();
+    let full = mode == RefineMode::Full;
+    let (results, ranking) = match mode {
         RefineMode::Full => {
-            for i in 0..n {
-                if known.contains(&digests[i]) {
-                    statuses[i] = "known";
-                    continue;
-                }
-                if deadline_at.is_some_and(|t| Instant::now() >= t) {
-                    // Everything resolved so far is already in the
-                    // store; a retry resumes exactly here.
-                    statuses[i] = "deadline";
-                    continue;
-                }
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    store.evaluate_cached(&*scenarios[i])
-                }));
-                let (status, result) = match r {
-                    Ok(Ok(ev)) => (if pre_cached[i] { "cached" } else { "evaluated" }, Ok(ev)),
-                    Ok(Err(e)) => ("failed", Err(e.to_string())),
-                    Err(p) => (
-                        "failed",
-                        Err(format!("evaluation panicked: {}", panic_message(p))),
-                    ),
-                };
-                statuses[i] = status;
-                results[i] = Some(result);
+            let todo: Vec<usize> = (0..n).filter(|&i| !known.contains(&digests[i])).collect();
+            let batch: Vec<&dyn Scenario> = todo.iter().map(|&i| &*scenarios[i]).collect();
+            let outs = par_try_map_with(&batch, |s| store.evaluate_cached(*s), &opts);
+            let mut results: Vec<Option<_>> = (0..n).map(|_| None).collect();
+            for (&i, out) in todo.iter().zip(outs) {
+                results[i] = Some(out);
             }
-            if triage.is_some() {
-                ranking = rank_resolved(&results, &objective);
-            }
+            let ranking = match triage {
+                Some(_) => rank_evaluated(&results, &objective),
+                None => Vec::new(),
+            };
+            (results, ranking)
         }
         RefineMode::Halving { fraction } => {
-            let opts = SweepOptions::builder().threads(1).build();
             let config = HalvingConfig {
                 fraction,
                 objective,
             };
             let outcome = successive_halving(&store, &scenarios, &opts, &config);
-            for (i, r) in outcome.results.into_iter().enumerate() {
-                let Some(r) = r else { continue };
-                let (status, result) = match r {
-                    Ok(ev) => (
-                        if known.contains(&digests[i]) {
-                            "known"
-                        } else if pre_cached[i] {
-                            "cached"
-                        } else {
-                            "evaluated"
-                        },
-                        Ok(ev),
-                    ),
-                    Err(e) => ("failed", Err(e.to_string())),
-                };
-                statuses[i] = status;
-                results[i] = Some(result);
-            }
-            ranking = outcome
-                .ranking
-                .into_iter()
-                .map(|r| (r.index, r.name, r.score))
-                .collect();
+            (outcome.results, outcome.ranking)
         }
-    }
-    metrics.compute.record_duration(eval_start.elapsed());
-    metrics.observe_request("refine", id, enqueued_at.elapsed());
-    metrics.completed.inc();
-    if let (Some(t), Some((mh0, mm0, sh0))) = (trace, before) {
-        let (mh1, mm1, sh1) = cache_marks(shared);
-        t.set_cache(
-            mh1.saturating_sub(mh0),
-            mm1.saturating_sub(mm0),
-            sh1.saturating_sub(sh0),
-        );
-    }
+    };
+    let statuses: Vec<&'static str> = (0..n)
+        .map(|i| match &results[i] {
+            // Full mode hands every point but the known ones to the engine.
+            None if full => "known",
+            None => "pruned",
+            Some(Err(PointFailure::DeadlineExceeded)) => "deadline",
+            Some(Err(_)) => "failed",
+            Some(Ok(_)) if known.contains(&digests[i]) => "known",
+            Some(Ok(_)) if pre_cached[i] => "cached",
+            Some(Ok(_)) => "evaluated",
+        })
+        .collect();
     let count = |tag: &str| statuses.iter().filter(|s| **s == tag).count();
     let (evaluated, cached, known_n) = (count("evaluated"), count("cached"), count("known"));
     let mut returned_points = 0u64;
@@ -1070,16 +1008,13 @@ fn refine_response(
                         ));
                     }
                 }
-                Some(Err(msg)) => fields.push(("error", Json::Str(msg.clone()))),
+                Some(Err(PointFailure::DeadlineExceeded)) => {}
+                Some(Err(failure)) => fields.push(("error", Json::Str(failure.to_string()))),
                 _ => {}
             }
             obj(fields)
         })
         .collect();
-    metrics.points.add(returned_points);
-    if let Some(t) = trace {
-        t.set_points(returned_points);
-    }
     let mut body = vec![
         ("base", Json::Str(base)),
         ("grid", Json::Num(n as f64)),
@@ -1094,38 +1029,20 @@ fn refine_response(
             Json::Arr(
                 ranking
                     .into_iter()
-                    .map(|(index, name, score)| {
+                    .map(|r| {
                         obj(vec![
-                            ("index", Json::Num(index as f64)),
-                            ("digest", Json::Str(digests[index].to_hex())),
-                            ("name", Json::Str(name)),
-                            ("score", Json::Num(score)),
+                            ("index", Json::Num(r.index as f64)),
+                            ("digest", Json::Str(digests[r.index].to_hex())),
+                            ("name", Json::Str(r.name)),
+                            ("score", Json::Num(r.score)),
                         ])
                     })
                     .collect(),
             ),
         ));
     }
-    (protocol::ok_response(id, "refine", body), "ok")
-}
-
-/// Scores every resolved point by its best candidate under `objective`,
-/// best first (ties broken by grid index).
-fn rank_resolved(
-    results: &[Option<Result<Evaluation, String>>],
-    objective: &Objective,
-) -> Vec<(usize, String, f64)> {
-    let mut scored: Vec<(usize, String, f64)> = results
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| {
-            let ev = r.as_ref()?.as_ref().ok()?;
-            let best = rank(&ev.candidates, objective).into_iter().next()?;
-            Some((i, best.name, best.score))
-        })
-        .collect();
-    scored.sort_by(|a, b| xlda_core::order::desc_nan_last(a.2, b.2).then(a.0.cmp(&b.0)));
-    scored
+    let line = protocol::ok_response(id, "refine", body);
+    (line, "ok", returned_points)
 }
 
 /// Builds the `stats` response: queue/latency/throughput plus the
@@ -1829,5 +1746,76 @@ mod tests {
         let v2 = recv(&rx);
         let text2 = v2.get("prometheus").and_then(Json::as_str).unwrap();
         assert!(!text2.contains("# {request_id="), "window must reset");
+    }
+
+    #[test]
+    fn halving_refine_spends_the_request_deadline_across_rounds() {
+        let server = Server::new(ServerConfig::default());
+        let (w, rx) = test_writer();
+        // 64 points of ~25 ms each (2-vCPU box); the first halving round
+        // alone holds 16, far more than the 50 ms budget admits, while
+        // the budget is long enough that the job itself starts in time.
+        let seeds: Vec<String> = (0..64).map(|s| s.to_string()).collect();
+        server.handle_line(
+            &format!(
+                r#"{{"id":"hd","kind":"refine","base":"mann_mc",
+                "scenario":{{"trials":8192,"threads":1,"hash_bits":16}},
+                "grid":{{"seed":[{}]}},"mode":"halving","fraction":0.25,
+                "deadline_ms":50}}"#,
+                seeds.join(",")
+            )
+            .replace('\n', ""),
+            &w,
+        );
+        let v = recv(&rx);
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v}");
+        let points = v.get("points").and_then(Json::as_arr).unwrap();
+        let status = |p: &Json| p.get("status").and_then(Json::as_str).unwrap().to_string();
+        let cut = points.iter().filter(|p| status(p) == "deadline").count();
+        let done = points.iter().filter(|p| status(p) == "evaluated").count();
+        assert!(cut >= 1, "no point was cut off by the deadline");
+        assert!(done >= 1, "the first point starts before the deadline");
+        assert_eq!(v.get("evaluated").and_then(Json::as_f64), Some(done as f64));
+        for p in points.iter().filter(|p| status(p) == "deadline") {
+            assert!(p.get("candidates").is_none() && p.get("error").is_none());
+        }
+        let ranking = v.get("ranking").and_then(Json::as_arr).unwrap();
+        assert_eq!(ranking.len(), done, "only evaluated points are ranked");
+    }
+
+    #[test]
+    fn full_and_one_round_halving_refine_agree() {
+        let server = Server::new(ServerConfig::default());
+        let (w, rx) = test_writer();
+        // Negative relax_decades fails as invalid: the grid mixes
+        // failed and evaluated points.
+        let grid = r#""base":"mann_mc","scenario":{"trials":64,"threads":1},
+            "grid":{"relax_decades":[1.5,-2,0.5,1.0],"hash_bits":[16,32]},
+            "objective":"latency_first""#
+            .replace('\n', "");
+        server.handle_line(&format!(r#"{{"id":"f","kind":"refine",{grid}}}"#), &w);
+        let full = recv(&rx);
+        server.handle_line(
+            &format!(r#"{{"id":"f","kind":"refine",{grid},"mode":"halving","fraction":1.0}}"#),
+            &w,
+        );
+        let halving = recv(&rx);
+        assert_eq!(full.get("ok").and_then(Json::as_bool), Some(true), "{full}");
+        let statuses = |v: &Json| -> Vec<String> {
+            v.get("points")
+                .and_then(Json::as_arr)
+                .unwrap()
+                .iter()
+                .map(|p| p.get("status").and_then(Json::as_str).unwrap().to_string())
+                .collect()
+        };
+        let failed = statuses(&full).iter().filter(|s| *s == "failed").count();
+        assert_eq!(failed, 2, "{:?}", statuses(&full));
+        assert_eq!(statuses(&full), statuses(&halving));
+        let ranking = full.get("ranking").and_then(Json::as_arr).unwrap();
+        assert_eq!(ranking.len(), 6, "failed points are not ranked");
+        assert_eq!(full.get("ranking"), halving.get("ranking"));
+        // Same engine, same grid: the whole response agrees.
+        assert_eq!(full.to_string(), halving.to_string());
     }
 }
