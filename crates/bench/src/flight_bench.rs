@@ -143,7 +143,7 @@ fn line_writer() -> (SharedWriter, mpsc::Receiver<String>) {
 
 /// Sends every line, waits for every response, returns wall time,
 /// checksum of the sorted responses, and rejections seen.
-fn run_batch(
+fn run_burst(
     server: &Server,
     writer: &SharedWriter,
     rx: &mpsc::Receiver<String>,
@@ -205,8 +205,8 @@ pub fn run(smoke: bool) -> FlightOverheadReport {
     // Warm the memo caches and both servers' pools before timing, so
     // pairs measure steady-state serving, not first-touch evaluation.
     memo::clear_all();
-    let _ = run_batch(&server_off, &w_off, &rx_off, &lines);
-    let _ = run_batch(&server_on, &w_on, &rx_on, &lines);
+    let _ = run_burst(&server_off, &w_off, &rx_off, &lines);
+    let _ = run_burst(&server_on, &w_on, &rx_on, &lines);
 
     let mut pairs = Vec::with_capacity(pair_count);
     let mut rejections = 0;
@@ -214,13 +214,13 @@ pub fn run(smoke: bool) -> FlightOverheadReport {
         // Alternate which mode runs first so slow drift (cgroup quota
         // refills, thermal ramps) cannot systematically favor one side.
         let (off, on, checksum_off, checksum_on) = if i % 2 == 0 {
-            let (off, ck_off, rej_off) = run_batch(&server_off, &w_off, &rx_off, &lines);
-            let (on, ck_on, rej_on) = run_batch(&server_on, &w_on, &rx_on, &lines);
+            let (off, ck_off, rej_off) = run_burst(&server_off, &w_off, &rx_off, &lines);
+            let (on, ck_on, rej_on) = run_burst(&server_on, &w_on, &rx_on, &lines);
             rejections += rej_off + rej_on;
             (off, on, ck_off, ck_on)
         } else {
-            let (on, ck_on, rej_on) = run_batch(&server_on, &w_on, &rx_on, &lines);
-            let (off, ck_off, rej_off) = run_batch(&server_off, &w_off, &rx_off, &lines);
+            let (on, ck_on, rej_on) = run_burst(&server_on, &w_on, &rx_on, &lines);
+            let (off, ck_off, rej_off) = run_burst(&server_off, &w_off, &rx_off, &lines);
             rejections += rej_off + rej_on;
             (off, on, ck_off, ck_on)
         };

@@ -46,9 +46,13 @@ pub const SLOW_MULT: u64 = 8;
 pub enum Stage {
     /// Frame received → request parsed.
     Decode = 0,
-    /// Parsed → drained from the admission queue by a worker.
+    /// Parsed → popped from the admission queue by a worker (or taken
+    /// up inline by the event loop).
     Queue = 1,
-    /// Drained → this job's evaluation starts (batch serialization).
+    /// Popped → this job's evaluation starts. A worker pops one job and
+    /// starts it at once, so this reads ≈0; the stage stays so the
+    /// five-stage schema (flight traces, access-log `stages_ns`) keeps
+    /// its shape.
     Batch = 2,
     /// Evaluation + response serialization done.
     Eval = 3,
@@ -107,19 +111,6 @@ impl RequestTrace {
     #[inline]
     pub fn mark(&self, stage: Stage) {
         self.marks[stage as usize].store(self.elapsed_ns(), Ordering::Relaxed);
-    }
-
-    /// Records a stage boundary only if it has not been marked yet
-    /// (e.g. `Queue` is marked at batch drain by the worker, and again
-    /// defensively at evaluation start for inline fast-path requests).
-    #[inline]
-    pub fn mark_once(&self, stage: Stage) {
-        let _ = self.marks[stage as usize].compare_exchange(
-            0,
-            self.elapsed_ns(),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
     }
 
     /// Records how many result points the response carried.
@@ -403,19 +394,6 @@ mod tests {
         assert_eq!(done.stage_ns[Stage::Eval as usize], 0);
         assert_eq!(done.stage_ns.iter().sum::<u64>(), done.total_ns);
         assert!(!done.is_ok());
-    }
-
-    #[test]
-    fn mark_once_does_not_overwrite() {
-        let t = RequestTrace::begin("r3".into(), "hdc", clock::now());
-        t.mark_once(Stage::Queue);
-        let first = t.marks[Stage::Queue as usize].load(Ordering::Relaxed);
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        t.mark_once(Stage::Queue);
-        assert_eq!(
-            t.marks[Stage::Queue as usize].load(Ordering::Relaxed),
-            first
-        );
     }
 
     #[test]

@@ -19,9 +19,12 @@
 //! `Default`; `kind` is one of `hdc | mann | edge | tpu_nvm | triage |
 //! cam_yield_mc | mann_mc | nvm_mc | refine | stats | metrics | debug |
 //! shutdown`. The `*_mc` kinds are Monte-Carlo scenarios: their
-//! `scenario` object also accepts the population controls `trials`,
-//! `seed`, `batch`, and `threads`, and their responses carry a
-//! `distributions` array of summary digests next to `candidates`.
+//! `scenario` object also accepts the population controls `trials` (at
+//! most [`MC_MAX_TRIALS`]) and `seed`, and their responses carry a
+//! `distributions` array of summary digests next to `candidates`. A
+//! request runs its whole population on the one worker that popped it,
+//! so the library's schedule-only `batch`/`threads` are not read from
+//! the wire (like any unknown key, they are ignored).
 //!
 //! `refine` is incremental DSE against the result store: it expands a
 //! `grid` cross-product over a `base` workload, skips the digests the
@@ -55,6 +58,12 @@ use xlda_core::triage::Objective;
 /// be split across requests (each one returns the digests needed to
 /// resume exactly where it stopped).
 pub const REFINE_MAX_POINTS: usize = 1024;
+
+/// Largest Monte-Carlo `trials` population one request may ask for. The
+/// engine allocates per-trial columns up front, so an unbounded
+/// client-chosen population could ask for gigabytes and abort the
+/// daemon on allocation failure.
+pub const MC_MAX_TRIALS: usize = 1 << 20;
 
 /// Ranking objective requested by a `triage` request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -337,12 +346,18 @@ pub fn mann_scenario(spec: &Json) -> Result<MannScenario, String> {
     Ok(s)
 }
 
-/// Reads the shared Monte-Carlo population controls out of a scenario
-/// spec object.
+/// Reads the Monte-Carlo population controls (`trials`, `seed`) out of
+/// a scenario spec object. `batch` and `threads` stay at their
+/// defaults: they only shape scheduling, never a result bit or a store
+/// digest, and a served request runs on the one worker that popped it.
 fn mc_params(spec: &Json, mc: &mut McParams) -> Result<(), String> {
     usize_field(spec, "trials", &mut mc.trials)?;
-    usize_field(spec, "batch", &mut mc.batch)?;
-    usize_field(spec, "threads", &mut mc.threads)?;
+    if mc.trials > MC_MAX_TRIALS {
+        return Err(format!(
+            "\"trials\" {} exceeds the cap of {MC_MAX_TRIALS}",
+            mc.trials
+        ));
+    }
     match spec.get("seed") {
         None | Some(Json::Null) => {}
         Some(v) => match v.as_usize() {
@@ -848,6 +863,45 @@ mod tests {
             };
             assert!(msg.contains(frag), "{line} -> {msg}");
         }
+    }
+
+    #[test]
+    fn mc_population_is_capped_and_schedule_fields_are_not_read() {
+        // Parse only: nothing here is evaluated.
+        let msg = match parse_request(
+            r#"{"id":"big","kind":"mann_mc","scenario":{"trials":4000000000,"batch":1}}"#,
+        ) {
+            Err((id, msg)) => {
+                assert_eq!(id, "big");
+                msg
+            }
+            Ok(_) => panic!("accepted a 4e9-trial population"),
+        };
+        assert!(msg.contains("trials") && msg.contains("cap"), "{msg}");
+        let over = format!(
+            r#"{{"id":"o","kind":"cam_yield_mc","scenario":{{"trials":{}}}}}"#,
+            MC_MAX_TRIALS + 1
+        );
+        assert!(parse_request(&over).is_err());
+        // At the cap, and with schedule fields a client may still send:
+        // they parse, and the population controls stay at defaults.
+        let s = mann_mc_scenario(
+            &Json::parse(&format!(
+                r#"{{"trials":{MC_MAX_TRIALS},"threads":4096,"batch":1}}"#
+            ))
+            .unwrap(),
+        )
+        .unwrap();
+        let defaults = McParams::default();
+        assert_eq!(s.mc.trials, MC_MAX_TRIALS);
+        assert_eq!(
+            (s.mc.batch, s.mc.threads),
+            (defaults.batch, defaults.threads)
+        );
+        let s = nvm_mc_scenario(&Json::parse(r#"{"threads":4096,"batch":1}"#).unwrap()).unwrap();
+        assert_eq!(s.mc, defaults);
+        let line = r#"{"id":"t","kind":"cam_yield_mc","scenario":{"threads":4096,"batch":1}}"#;
+        assert!(matches!(parse_request(line), Ok(Request::Eval { .. })));
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! The serving pipeline: readiness loop → queue → adaptive batcher →
-//! workers → drain.
+//! The serving pipeline: readiness loop → queue → workers → drain.
 //!
 //! - **Transport.** On unix the TCP transport is a single-threaded,
 //!   readiness-driven event loop (epoll on Linux, `poll()` elsewhere —
@@ -14,17 +13,15 @@
 //!   full queue rejects immediately with a `retry_after_ms` hint derived
 //!   from the *observed* per-job drain rate (EWMA, 1 ms floor) —
 //!   explicit backpressure instead of unbounded buffering. `stats` and
-//!   `metrics` and `shutdown` bypass the queue so observability
-//!   survives saturation.
-//! - **Adaptive batching.** Worker threads pull from the queue with no
-//!   fixed window: an idle worker dispatches the moment a job arrives
-//!   (micro-batch of one), and while every worker is busy the queue
-//!   accumulates so the next free worker drains up to `batch_max` jobs
-//!   in one lock acquisition. Coalescing happens exactly when the pool
-//!   is saturated and never costs latency when it is not. (The old
-//!   fixed 2 ms window put a ~250x sleep tax on 9 µs evaluations;
-//!   `batch_window` survives only as an artificial pre-drain delay for
-//!   saturation tests, default zero.)
+//!   `metrics` and `shutdown` bypass the queue so observability survives
+//!   saturation.
+//! - **One-job dispatch.** Each worker takes the queue lock, waits for
+//!   work, pops **one** job and runs it to completion on its own thread.
+//!   An idle worker dispatches the moment a job arrives, and under
+//!   saturation every free worker pops the next job, so no job waits
+//!   behind batch-mates on a busy worker while another worker sleeps.
+//!   Nothing coalesces jobs: evaluations share no work when run back
+//!   to back, so a batch would only add waiting.
 //! - **Containment.** Every evaluation runs inside the sweep engine's
 //!   per-point boundary (`xlda_core::sweep::try_point`, directly for
 //!   single evaluations and through the engine for `refine` grids); a
@@ -46,7 +43,7 @@ use std::time::{Duration, Instant};
 use crate::access_log::{self, AccessLog};
 use crate::json::{obj, Json};
 use crate::protocol::{self, RefineMode, RefineSpec, Request, TriageSpec};
-use xlda_core::evaluate::Scenario;
+use xlda_core::evaluate::{Evaluation, Scenario};
 use xlda_core::store::{rank_evaluated, successive_halving, HalvingConfig, ResultStore};
 use xlda_core::sweep::{memo, par_try_map_with, try_point, PointFailure, SweepOptions};
 use xlda_core::triage::{rank, Objective};
@@ -65,12 +62,6 @@ pub struct ServerConfig {
     /// Admission queue capacity; beyond this, requests are rejected
     /// with `retry_after_ms`.
     pub queue_cap: usize,
-    /// Artificial delay between a worker waking and draining its batch.
-    /// The adaptive batcher needs no window — this exists so saturation
-    /// tests can stall draining deterministically. Default zero.
-    pub batch_window: Duration,
-    /// Maximum jobs drained into one worker batch.
-    pub batch_max: usize,
     /// Evaluation worker threads (0 = available parallelism).
     pub threads: usize,
     /// Default per-request deadline applied when a request carries
@@ -91,8 +82,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             queue_cap: 256,
-            batch_window: Duration::ZERO,
-            batch_max: 64,
             threads: 0,
             default_deadline: None,
             max_frame: MAX_FRAME_DEFAULT,
@@ -125,6 +114,16 @@ enum Work {
     Refine(RefineSpec),
 }
 
+impl Work {
+    /// The request kind the job's metrics and trace are filed under.
+    fn kind(&self) -> &'static str {
+        match self {
+            Work::Eval { scenario, .. } => scenario.kind(),
+            Work::Refine(_) => "refine",
+        }
+    }
+}
+
 /// One admitted job.
 struct Job {
     id: String,
@@ -146,7 +145,7 @@ struct Metrics {
     registry: Registry,
     /// Enqueue-to-response latency of completed requests, seconds.
     latency: Arc<Histogram>,
-    /// Enqueue-to-evaluation-start wait, seconds (queueing + batching).
+    /// Enqueue-to-evaluation-start wait, seconds.
     queue_wait: Arc<Histogram>,
     /// Pure evaluation time per request, seconds.
     compute: Arc<Histogram>,
@@ -158,8 +157,8 @@ struct Metrics {
     mc_trials: Arc<Counter>,
     connections_opened: Arc<Counter>,
     connections_closed: Arc<Counter>,
-    /// EWMA of worker nanoseconds per drained job; 0 until the first
-    /// batch completes. Feeds the `retry_after_ms` backpressure hint.
+    /// EWMA of nanoseconds per job run; 0 until the first job
+    /// completes. Feeds the `retry_after_ms` backpressure hint.
     drain_ns_per_job: AtomicU64,
     /// Per-scenario-kind latency histograms. The kind set is tiny and
     /// static (~10 `&'static str`s), so a linear scan under a mutex is
@@ -233,12 +232,9 @@ impl Metrics {
         }
     }
 
-    /// Folds one drained batch into the drain-rate EWMA (α = 1/4).
-    fn observe_drain(&self, elapsed: Duration, jobs: usize) {
-        if jobs == 0 {
-            return;
-        }
-        let sample = (elapsed.as_nanos() / jobs as u128).clamp(1, u64::MAX as u128) as u64;
+    /// Folds one job's run time into the drain-rate EWMA (α = 1/4).
+    fn observe_drain(&self, elapsed: Duration) {
+        let sample = elapsed.as_nanos().clamp(1, u64::MAX as u128) as u64;
         let cur = self.drain_ns_per_job.load(Ordering::Relaxed);
         let next = if cur == 0 {
             sample
@@ -326,9 +322,9 @@ impl Server {
     }
 
     /// Like [`Server::new`], with a persistent result store consulted
-    /// before every evaluation and backing `refine` requests. The store
-    /// is also attached process-globally so its counters ride along in
-    /// the memo-cache snapshot.
+    /// before every evaluation and backing `refine` requests. Its
+    /// counters are this instance's `stats.store` block and
+    /// `xlda_store_*` metrics.
     pub fn with_store(config: ServerConfig, store: Option<Arc<ResultStore>>) -> Self {
         Self::with_parts(config, store, None)
     }
@@ -340,9 +336,6 @@ impl Server {
         store: Option<Arc<ResultStore>>,
         access_log: Option<AccessLog>,
     ) -> Self {
-        if let Some(s) = &store {
-            xlda_core::store::attach(Arc::clone(s));
-        }
         let worker_count = if config.threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -514,14 +507,12 @@ fn connection_loop(shared: &Arc<Shared>, stream: std::net::TcpStream) {
 const INLINE_MAX_NS: u64 = 200_000;
 
 /// Whether the event loop may evaluate the next request in place:
-/// nothing is queued ahead of it, the observed drain rate says jobs
-/// are far cheaper than a handoff, and no saturation-test window is
-/// forcing the queue path.
+/// nothing is queued ahead of it and the observed drain rate says jobs
+/// are far cheaper than a handoff.
 pub(crate) fn inline_eligible(shared: &Shared) -> bool {
     let ns = shared.metrics.drain_ns_per_job.load(Ordering::Relaxed);
     ns != 0
         && ns <= INLINE_MAX_NS
-        && shared.config.batch_window.is_zero()
         && shared
             .queue
             .lock()
@@ -550,23 +541,26 @@ pub(crate) fn handle_line_from(
     // Frame-receipt timestamp for the flight recorder's decode stage;
     // one clock read (~5 ns) even when tracing is off.
     let t0 = clock::now();
-    let want_trace = shared.flight.is_some() || shared.access_log.is_some();
-    match protocol::parse_request(line) {
+    let (id, work, deadline_ms) = match protocol::parse_request(line) {
         Err((id, msg)) => {
             sink.send(&protocol::err_response(&id, "bad_request", &msg, None));
             log_simple(shared, &id, "?", "bad_request");
+            return;
         }
         Ok(Request::Stats { id }) => {
             sink.send(&stats_response(shared, &id));
             log_simple(shared, &id, "stats", "ok");
+            return;
         }
         Ok(Request::Metrics { id }) => {
             sink.send(&metrics_response(shared, &id));
             log_simple(shared, &id, "metrics", "ok");
+            return;
         }
         Ok(Request::Debug { id }) => {
             sink.send(&debug_response(shared, &id));
             log_simple(shared, &id, "debug", "ok");
+            return;
         }
         Ok(Request::Shutdown { id }) => {
             shared.draining.store(true, Ordering::SeqCst);
@@ -574,62 +568,44 @@ pub(crate) fn handle_line_from(
             shared.wake_loop();
             sink.send(&protocol::ok_response(&id, "shutdown", vec![]));
             log_simple(shared, &id, "shutdown", "ok");
+            return;
         }
         Ok(Request::Eval {
             id,
             scenario,
             triage,
             deadline_ms,
-        }) => {
-            let now = Instant::now();
-            let deadline_at = deadline_ms
-                .map(Duration::from_millis)
-                .or(shared.config.default_deadline)
-                .map(|d| now + d);
-            let trace =
-                want_trace.then(|| Arc::new(RequestTrace::begin(id.clone(), scenario.kind(), t0)));
-            let job = Job {
-                id,
-                work: Work::Eval { scenario, triage },
-                deadline_at,
-                enqueued_at: now,
-                sink: Arc::clone(sink),
-                trace,
-            };
-            job.sink.job_started();
-            if inline_eval && !shared.draining.load(Ordering::SeqCst) && inline_eligible(shared) {
-                let started = Instant::now();
-                run_one(shared, job);
-                shared.metrics.observe_drain(started.elapsed(), 1);
-                return;
-            }
-            admit_or_reject(shared, job);
-        }
+        }) => (id, Work::Eval { scenario, triage }, deadline_ms),
         Ok(Request::Refine {
             id,
             spec,
             deadline_ms,
-        }) => {
-            let now = Instant::now();
-            let deadline_at = deadline_ms
-                .map(Duration::from_millis)
-                .or(shared.config.default_deadline)
-                .map(|d| now + d);
-            let trace = want_trace.then(|| Arc::new(RequestTrace::begin(id.clone(), "refine", t0)));
-            let job = Job {
-                id,
-                work: Work::Refine(spec),
-                deadline_at,
-                enqueued_at: now,
-                sink: Arc::clone(sink),
-                trace,
-            };
-            job.sink.job_started();
-            // A refine fans out over a whole grid; it never takes the
-            // event loop's inline fast path.
-            admit_or_reject(shared, job);
-        }
+        }) => (id, Work::Refine(spec), deadline_ms),
+    };
+    let now = Instant::now();
+    let deadline_at = deadline_ms
+        .map(Duration::from_millis)
+        .or(shared.config.default_deadline)
+        .map(|d| now + d);
+    let want_trace = shared.flight.is_some() || shared.access_log.is_some();
+    let trace = want_trace.then(|| Arc::new(RequestTrace::begin(id.clone(), work.kind(), t0)));
+    // A refine fans out over a whole grid; it never takes the event
+    // loop's inline fast path.
+    let inline = inline_eval && matches!(work, Work::Eval { .. });
+    let job = Job {
+        id,
+        work,
+        deadline_at,
+        enqueued_at: now,
+        sink: Arc::clone(sink),
+        trace,
+    };
+    job.sink.job_started();
+    if inline && !shared.draining.load(Ordering::SeqCst) && inline_eligible(shared) {
+        run_one(shared, job);
+        return;
     }
+    admit_or_reject(shared, job);
 }
 
 /// Admits a job or answers it with `queue_full` + a backpressure hint.
@@ -666,7 +642,7 @@ fn admit(shared: &Shared, job: Job) -> Result<(), Box<Job>> {
 }
 
 /// The backpressure hint: how long until a full queue has drained,
-/// estimated from the observed per-job worker time. Before any batch
+/// estimated from the observed per-job worker time. Before any job
 /// has completed the estimate is the 1 ms floor; the hint is capped at
 /// 10 s so a stalled pool cannot park clients forever.
 fn retry_after_ms(shared: &Shared) -> u64 {
@@ -676,16 +652,18 @@ fn retry_after_ms(shared: &Shared) -> u64 {
     ((queue_ns / 1_000_000) as u64).clamp(1, 10_000)
 }
 
-/// One evaluation worker: wait → drain up to `batch_max` → evaluate →
-/// respond. Waking workers on first enqueue gives immediate dispatch
-/// when the pool has idle capacity; batch draining gives coalescing
-/// when it does not.
+/// One evaluation worker: wait → pop one job → run it. A job runs
+/// alone on the worker that popped it, so while one worker is busy the
+/// next queued job goes to the next free worker instead of waiting
+/// behind it.
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        // Wait for work (or drain).
-        {
+        let job = {
             let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            while q.is_empty() {
+            loop {
+                if let Some(job) = q.pop_front() {
+                    break job;
+                }
                 if shared.draining.load(Ordering::SeqCst) {
                     return;
                 }
@@ -695,31 +673,8 @@ fn worker_loop(shared: &Arc<Shared>) {
                     .unwrap_or_else(|e| e.into_inner());
                 q = guard;
             }
-        }
-        // Test-only saturation knob: emulate the old fixed-window
-        // batcher by stalling between wakeup and drain.
-        if !shared.config.batch_window.is_zero() {
-            std::thread::sleep(shared.config.batch_window);
-        }
-        let batch: Vec<Job> = {
-            let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            let n = q.len().min(shared.config.batch_max);
-            q.drain(..n).collect()
         };
-        if batch.is_empty() {
-            continue;
-        }
-        // Every drained job leaves the admission queue *now*; time until
-        // its own evaluation starts is batch serialization.
-        for job in &batch {
-            if let Some(t) = &job.trace {
-                t.mark_once(flight::Stage::Queue);
-            }
-        }
-        let started = Instant::now();
-        let jobs = batch.len();
-        run_batch(shared, batch);
-        shared.metrics.observe_drain(started.elapsed(), jobs);
+        run_one(shared, job);
     }
 }
 
@@ -728,16 +683,10 @@ fn trial_count(d: &xlda_core::mc::McDistribution) -> u64 {
     (d.summary.trials + d.summary.nan_count) as u64
 }
 
-/// Evaluates one drained batch and writes every response.
-fn run_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
-    for job in batch {
-        run_one(shared, job);
-    }
-}
-
 /// Runs one job under per-job containment, sends its response, and
 /// does the job's bookkeeping: queue wait, compute time, cache
-/// attribution, completion latency and returned points.
+/// attribution, completion latency, returned points and the drain-rate
+/// sample.
 fn run_one(shared: &Arc<Shared>, job: Job) {
     let metrics = &shared.metrics;
     let eval_start = Instant::now();
@@ -753,9 +702,9 @@ fn run_one(shared: &Arc<Shared>, job: Job) {
         trace,
     } = job;
     if let Some(t) = &trace {
-        // Inline fast-path jobs never saw the worker drain; close the
-        // queue stage here so it reads as (near) zero instead of unset.
-        t.mark_once(flight::Stage::Queue);
+        // The job left the queue (or was picked up inline) just now and
+        // its evaluation starts here, so `batch` reads ≈0.
+        t.mark(flight::Stage::Queue);
         t.mark(flight::Stage::Batch);
     }
     let (line, outcome) = if deadline_at.is_some_and(|t| eval_start >= t) {
@@ -804,6 +753,7 @@ fn run_one(shared: &Arc<Shared>, job: Job) {
             rec.observe(done, metrics.drain_ns_per_job.load(Ordering::Relaxed));
         }
     }
+    metrics.observe_drain(eval_start.elapsed());
 }
 
 /// Cache counters before/after one evaluation, for trace attribution.
@@ -863,22 +813,8 @@ fn eval_response(
             .max()
             .unwrap_or(0),
     );
+    let mut body = evaluation_fields(&eval);
     let cands = eval.candidates;
-    let mut body = vec![(
-        "candidates",
-        Json::Arr(cands.iter().map(protocol::candidate_json).collect()),
-    )];
-    if !eval.distributions.is_empty() {
-        body.push((
-            "distributions",
-            Json::Arr(
-                eval.distributions
-                    .iter()
-                    .map(protocol::distribution_json)
-                    .collect(),
-            ),
-        ));
-    }
     if let Some(spec) = triage {
         let ranking = rank(&cands, &spec.objective());
         body.push((
@@ -899,6 +835,33 @@ fn eval_response(
     }
     let line = protocol::ok_response(id, scenario.kind(), body);
     (line, "ok", cands.len() as u64)
+}
+
+/// An evaluation's answer fields, shared by single evaluations and
+/// `refine` grid points: `candidates`, then `distributions` when the
+/// scenario produced any.
+fn evaluation_fields(eval: &Evaluation) -> Vec<(&'static str, Json)> {
+    let mut fields = vec![(
+        "candidates",
+        Json::Arr(
+            eval.candidates
+                .iter()
+                .map(protocol::candidate_json)
+                .collect(),
+        ),
+    )];
+    if !eval.distributions.is_empty() {
+        fields.push((
+            "distributions",
+            Json::Arr(
+                eval.distributions
+                    .iter()
+                    .map(protocol::distribution_json)
+                    .collect(),
+            ),
+        ));
+    }
+    fields
 }
 
 /// Executes one `refine` job: resolves every grid point the client does
@@ -992,21 +955,7 @@ fn refine_response(
                 // client said it already holds them.
                 Some(Ok(ev)) if statuses[i] != "known" => {
                     returned_points += ev.candidates.len() as u64;
-                    fields.push((
-                        "candidates",
-                        Json::Arr(ev.candidates.iter().map(protocol::candidate_json).collect()),
-                    ));
-                    if !ev.distributions.is_empty() {
-                        fields.push((
-                            "distributions",
-                            Json::Arr(
-                                ev.distributions
-                                    .iter()
-                                    .map(protocol::distribution_json)
-                                    .collect(),
-                            ),
-                        ));
-                    }
+                    fields.extend(evaluation_fields(ev));
                 }
                 Some(Err(PointFailure::DeadlineExceeded)) => {}
                 Some(Err(failure)) => fields.push(("error", Json::Str(failure.to_string()))),
@@ -1503,24 +1452,33 @@ mod tests {
         assert_eq!(by_id["d2"].get("ok").and_then(Json::as_bool), Some(true));
     }
 
+    /// A `cam_yield_mc` request that holds a worker for well over
+    /// 100 ms. Each call draws a fresh seed, so no cache can answer it.
+    fn slow_line(id: &str) -> String {
+        static SEED: AtomicU64 = AtomicU64::new(1);
+        let seed = SEED.fetch_add(1, Ordering::Relaxed);
+        format!(
+            r#"{{"id":"{id}","kind":"cam_yield_mc","scenario":{{"cells":2048,"seed":{seed}}}}}"#
+        )
+    }
+
     #[test]
     fn saturated_queue_rejects_with_retry_after() {
-        // A long pre-drain stall (the batch_window saturation knob) with
-        // a single worker makes admissions outpace draining
-        // deterministically.
+        // One worker busy with a slow request makes admissions outpace
+        // draining deterministically.
         let server = Server::new(ServerConfig {
             queue_cap: 2,
             threads: 1,
-            batch_window: Duration::from_millis(300),
             ..ServerConfig::default()
         });
         let (w, rx) = test_writer();
+        server.handle_line(&slow_line("slow"), &w);
         for i in 0..6 {
             server.handle_line(&format!(r#"{{"id":"q{i}","kind":"mann"}}"#), &w);
         }
         let mut rejected = 0;
         let mut ok = 0;
-        for _ in 0..6 {
+        for _ in 0..7 {
             let v = recv(&rx);
             match v.get("ok").and_then(Json::as_bool) {
                 Some(true) => ok += 1,
@@ -1536,7 +1494,7 @@ mod tests {
                 None => panic!("response without ok"),
             }
         }
-        assert_eq!(ok + rejected, 6, "every request answered");
+        assert_eq!(ok + rejected, 7, "every request answered");
         assert!(rejected >= 2, "cap 2 must reject some of 6 rapid requests");
     }
 
@@ -1558,11 +1516,10 @@ mod tests {
             #[cfg(unix)]
             waker: Mutex::new(None),
         });
-        // No drains observed yet: the hint is the 1 ms floor, not the
-        // (now meaningless) batch window.
+        // No job observed yet: the hint is the 1 ms floor.
         assert_eq!(retry_after_ms(&shared), 1);
         // 100 queued jobs at an observed 2 ms/job on one worker ≈ 200 ms.
-        shared.metrics.observe_drain(Duration::from_millis(20), 10);
+        shared.metrics.observe_drain(Duration::from_millis(2));
         let hint = retry_after_ms(&shared);
         assert!((150..=250).contains(&hint), "hint {hint} vs ~200 ms drain");
         // A stalled pool cannot park clients past the 10 s cap.
@@ -1591,6 +1548,28 @@ mod tests {
         assert!(v.get("queue_wait_p95_ms").and_then(Json::as_f64).unwrap() >= 0.0);
         assert!(v.get("compute_p95_ms").and_then(Json::as_f64).unwrap() > 0.0);
         assert!(!v.get("caches").and_then(Json::as_arr).unwrap().is_empty());
+    }
+
+    #[test]
+    fn stats_caches_list_only_memo_caches_when_a_store_is_configured() {
+        let store = Arc::new(ResultStore::in_memory());
+        let server = Server::with_store(ServerConfig::default(), Some(store));
+        let (w, rx) = test_writer();
+        server.handle_line(r#"{"id":"e","kind":"hdc"}"#, &w);
+        assert_eq!(recv(&rx).get("ok").and_then(Json::as_bool), Some(true));
+        server.handle_line(r#"{"id":"s","kind":"stats"}"#, &w);
+        let v = recv(&rx);
+        // The store reports in its own per-instance block ...
+        let st = v.get("store").unwrap();
+        assert_eq!(st.get("enabled").and_then(Json::as_bool), Some(true));
+        assert_eq!(st.get("entries").and_then(Json::as_f64), Some(1.0));
+        // ... and never as a row of the process-wide memo caches.
+        let memo_names: Vec<&str> = memo::snapshot().iter().map(|c| c.name).collect();
+        for c in v.get("caches").and_then(Json::as_arr).unwrap() {
+            let name = c.get("name").and_then(Json::as_str).unwrap();
+            assert!(memo_names.contains(&name), "{name} is not a memo cache");
+            assert_ne!(name, "core.result_store");
+        }
     }
 
     #[test]
@@ -1624,12 +1603,14 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_work_before_returning() {
+        // The slow request holds the only worker, so the rest are still
+        // queued when the shutdown lands.
         let server = Server::new(ServerConfig {
             threads: 1,
-            batch_window: Duration::from_millis(20),
             ..ServerConfig::default()
         });
         let (w, rx) = test_writer();
+        server.handle_line(&slow_line("slow"), &w);
         for i in 0..5 {
             server.handle_line(&format!(r#"{{"id":"g{i}","kind":"hdc"}}"#), &w);
         }
@@ -1643,7 +1624,7 @@ mod tests {
         for i in 0..5 {
             assert!(answered.contains(&format!("g{i}")), "g{i} dropped");
         }
-        assert!(answered.contains("bye"));
+        assert!(answered.contains("slow") && answered.contains("bye"));
     }
 
     #[test]
@@ -1759,7 +1740,7 @@ mod tests {
         server.handle_line(
             &format!(
                 r#"{{"id":"hd","kind":"refine","base":"mann_mc",
-                "scenario":{{"trials":8192,"threads":1,"hash_bits":16}},
+                "scenario":{{"trials":8192,"hash_bits":16}},
                 "grid":{{"seed":[{}]}},"mode":"halving","fraction":0.25,
                 "deadline_ms":50}}"#,
                 seeds.join(",")
@@ -1789,7 +1770,7 @@ mod tests {
         let (w, rx) = test_writer();
         // Negative relax_decades fails as invalid: the grid mixes
         // failed and evaluated points.
-        let grid = r#""base":"mann_mc","scenario":{"trials":64,"threads":1},
+        let grid = r#""base":"mann_mc","scenario":{"trials":64},
             "grid":{"relax_decades":[1.5,-2,0.5,1.0],"hash_bits":[16,32]},
             "objective":"latency_first""#
             .replace('\n', "");

@@ -131,6 +131,68 @@ fn every_request_becomes_one_well_formed_ndjson_line() {
 }
 
 #[test]
+fn wait_behind_a_slow_request_is_queue_time_not_batch_time() {
+    // One worker. A slow request (a `cam_yield_mc` population of well
+    // over 100 ms) holds it while three more Monte-Carlo requests of a
+    // few ms each queue up; fresh seeds keep every one a real
+    // evaluation. Each worker pops and starts one job at a time, so all
+    // of a request's wait is `queue` and its `batch` stage is ≈0.
+    let buf = Arc::new(Mutex::new(Vec::new()));
+    let log = AccessLog::with_writer(Box::new(Collect(Arc::clone(&buf))), 1024);
+    let config = ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    };
+    let (addr, handle) = spawn_with_log(config, log);
+    let mut c = connect(addr);
+    let mut reader = BufReader::new(c.try_clone().unwrap());
+    let mut burst =
+        r#"{"id":"slow","kind":"cam_yield_mc","scenario":{"cells":2048,"seed":201}}"#.to_string();
+    for i in 0..3 {
+        burst.push_str(&format!(
+            "\n{{\"id\":\"f{i}\",\"kind\":\"cam_yield_mc\",\"scenario\":{{\"cells\":256,\"seed\":{}}}}}",
+            210 + i
+        ));
+    }
+    burst.push('\n');
+    c.write_all(burst.as_bytes()).unwrap();
+    for _ in 0..4 {
+        let v = read_response(&mut reader);
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+    }
+    c.write_all(b"{\"id\":\"bye\",\"kind\":\"shutdown\"}\n")
+        .unwrap();
+    read_response(&mut reader);
+    drop((c, reader));
+    handle.join().expect("server thread");
+
+    let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+    let stage = |id: &str, name: &str| -> f64 {
+        text.lines()
+            .map(|l| Json::parse(l).expect("NDJSON line"))
+            .find(|l| l.get("id").and_then(Json::as_str) == Some(id))
+            .unwrap_or_else(|| panic!("no log line for {id}:\n{text}"))
+            .get("stages_ns")
+            .and_then(|s| s.get(name))
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("{id} has no {name} stage"))
+    };
+    for id in ["slow", "f0", "f1", "f2"] {
+        let batch_ms = stage(id, "batch") / 1e6;
+        assert!(batch_ms < 1.0, "{id}: batch {batch_ms} ms, want ≈0");
+    }
+    // The followers waited out the slow request, and that wait is theirs
+    // in `queue`.
+    for id in ["f0", "f1", "f2"] {
+        let queue_ms = stage(id, "queue") / 1e6;
+        assert!(
+            queue_ms >= 20.0,
+            "{id}: queue {queue_ms} ms behind a slow request"
+        );
+    }
+}
+
+#[test]
 fn wedged_log_sink_is_absorbed_by_the_drop_counter_not_a_stall() {
     struct Wedged;
     impl Write for Wedged {

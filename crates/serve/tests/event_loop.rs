@@ -1,6 +1,6 @@
 //! Adversarial clients against the readiness-driven TCP transport:
 //! slow writers, split and pipelined frames, oversized and malformed
-//! frames, deadline expiry behind a stalled batch, abrupt disconnects,
+//! frames, deadline expiry behind a slow request, abrupt disconnects,
 //! and a parity check against the in-process line handler.
 #![cfg(unix)]
 
@@ -159,28 +159,27 @@ fn malformed_frame_fails_alone_connection_stays_usable() {
 
 #[test]
 fn deadline_expires_behind_a_stalled_batch() {
-    // One worker with a 150 ms pre-drain stall (the saturation knob):
-    // both requests sit queued long enough for the zero-deadline one
-    // to expire, while its neighbour completes normally.
+    // One worker held by a slow request (a `cam_yield_mc` population of
+    // well over 100 ms, fresh seed): the next two requests sit queued
+    // behind it, and the zero-deadline one expires while its neighbour
+    // completes normally.
     let (addr, handle) = spawn(ServerConfig {
         threads: 1,
-        batch_window: Duration::from_millis(150),
         ..ServerConfig::default()
     });
     let mut c = connect(addr);
     let mut reader = BufReader::new(c.try_clone().unwrap());
-    c.write_all(b"{\"id\":\"patient\",\"kind\":\"hdc\"}\n{\"id\":\"expired\",\"kind\":\"hdc\",\"deadline_ms\":0}\n")
+    c.write_all(b"{\"id\":\"slow\",\"kind\":\"cam_yield_mc\",\"scenario\":{\"cells\":2048,\"seed\":101}}\n{\"id\":\"patient\",\"kind\":\"hdc\"}\n{\"id\":\"expired\",\"kind\":\"hdc\",\"deadline_ms\":0}\n")
         .unwrap();
     c.flush().unwrap();
     let mut by_id = std::collections::HashMap::new();
-    for _ in 0..2 {
+    for _ in 0..3 {
         let v = read_response(&mut reader);
         by_id.insert(v.get("id").and_then(Json::as_str).unwrap().to_string(), v);
     }
-    assert_eq!(
-        by_id["patient"].get("ok").and_then(Json::as_bool),
-        Some(true)
-    );
+    for id in ["slow", "patient"] {
+        assert_eq!(by_id[id].get("ok").and_then(Json::as_bool), Some(true));
+    }
     assert_eq!(
         by_id["expired"].get("code").and_then(Json::as_str),
         Some("deadline")

@@ -3,8 +3,8 @@
 //! caches, interleaved kinds, and a saturated queue included.
 //!
 //! Runs the real binary in `--stdio` mode (one process per test, piped
-//! line protocol), which exercises the same queue → batcher → pool →
-//! drain pipeline as the TCP transport.
+//! line protocol), which exercises the same queue → pool → drain
+//! pipeline as the TCP transport.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -211,12 +211,19 @@ fn interleaved_kinds_match_library_bit_exactly_cold_and_warm() {
     server.shutdown();
 }
 
+/// A `cam_yield_mc` request that holds a worker for well over 100 ms.
+/// `seed` must be fresh per use, so no cache can answer it.
+fn slow_line(id: &str, seed: u64) -> String {
+    format!(r#"{{"id":"{id}","kind":"cam_yield_mc","scenario":{{"cells":2048,"seed":{seed}}}}}"#)
+}
+
 #[test]
 fn saturated_queue_rejections_are_well_formed_and_retryable() {
-    // Tiny queue + long batch window: most of a rapid burst must be
-    // rejected with retry-after, and retries must eventually succeed,
-    // so no request is ever silently dropped.
-    let mut server = ServerProc::spawn(&["--queue-cap", "2", "--batch-window-ms", "100"]);
+    // Tiny queue + one worker held by a slow request: most of a rapid
+    // burst must be rejected with retry-after, and retries must
+    // eventually succeed, so no request is ever silently dropped.
+    let mut server = ServerProc::spawn(&["--queue-cap", "2", "--threads", "1"]);
+    server.send(&slow_line("slow", 1));
     let total = 12;
     let mut pending: Vec<String> = (0..total).map(|i| format!("b{i}")).collect();
     let mut done: HashMap<String, Json> = HashMap::new();
@@ -233,9 +240,15 @@ fn saturated_queue_rejections_are_well_formed_and_retryable() {
             server.send(&format!(r#"{{"id":"{id}","kind":"hdc"}}"#));
         }
         let mut retry = Vec::new();
-        for _ in 0..pending.len() {
+        let mut owed = pending.len();
+        while owed > 0 {
             let v = server.recv();
             let id = v.get("id").and_then(Json::as_str).unwrap().to_string();
+            if id == "slow" {
+                assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v}");
+                continue;
+            }
+            owed -= 1;
             match v.get("ok").and_then(Json::as_bool) {
                 Some(true) => {
                     done.insert(id, v);
